@@ -150,7 +150,13 @@ class _Parser:
 def parse_expr(text: str, dim: int | None = None) -> JetExpr:
     """Parse an expression string; dim may be inferred from any vector."""
     p = _Parser(_tokenize(text), dim)
-    e = p.sum()
+    try:
+        e = p.sum()
+    except ZeroDivisionError:
+        # only "/" and negative powers divide; both name a zero divisor
+        raise ExprParseError(
+            f"division by an identically-zero expression in {text!r}"
+        ) from None
     if p.peek() is not None:
         raise ExprParseError(f"trailing input: {' '.join(p.tokens[p.pos:])!r}")
     return e

@@ -11,6 +11,13 @@ Normalization deliberately avoids a full multivariate gcd: quotients cancel
 only common monomial content and the denominator's leading coefficient
 (made +1, scale moved into the numerator).  Equality is decided exactly by
 cross-multiplication.
+
+Coefficients are exact rationals held as a plain ``int`` whenever they are
+integral and as a ``Fraction`` only otherwise; every operation hands back
+coefficients in that form.  Coefficients are divided only through
+``Fraction`` (``int / int`` would give a float).  Since ``int`` and
+``Fraction`` compare and hash equal, code outside this module reads a
+coefficient through ``.numerator`` and ``.denominator`` alone.
 """
 from __future__ import annotations
 
@@ -88,6 +95,24 @@ Mono = tuple[tuple[JetVariable, int], ...]
 _ONE_MONO: Mono = ()
 
 
+def _exact(c):
+    """An integral Fraction as its int; any other coefficient unchanged."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _settle(terms: dict) -> dict:
+    """Apply _exact to every coefficient of a term map, in place."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
+def _inverse(c) -> Fraction:
+    """1/c for a nonzero coefficient, always through Fraction."""
+    return Fraction(1, c) if type(c) is int else 1 / c
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -109,21 +134,25 @@ def _mono_key(m: Mono):
 
 
 class Poly:
-    """Sparse polynomial over Q in jet variables."""
+    """Sparse polynomial over Q in jet variables.
+
+    ``terms`` maps monomials to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, terms: dict[Mono, int | Fraction] | None = None):
         self.terms = terms or {}
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({} if c == 0 else {_ONE_MONO: c})
+        c = c if type(c) is int else _exact(Fraction(c))
+        return Poly({_ONE_MONO: c} if c else {})
 
     @staticmethod
     def var(v: JetVariable) -> "Poly":
-        return Poly({((v, 1),): Fraction(1)})
+        return Poly({((v, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -134,7 +163,7 @@ class Poly:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self.terms.get(_ONE_MONO, 0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -147,7 +176,7 @@ class Poly:
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int else _exact(s)
             elif m in out:
                 del out[m]
         return Poly(out)
@@ -159,7 +188,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
@@ -168,14 +197,16 @@ class Poly:
                     out[m] = s
                 elif m in out:
                     del out[m]
-        return Poly(out)
+        return Poly(_settle(out))
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c) -> "Poly":
+        if type(c) is not int:
+            c = _exact(Fraction(c))
         if c == 0:
             return Poly()
-        return Poly({m: x * c for m, x in self.terms.items()})
+        return Poly(_settle({m: x * c for m, x in self.terms.items()}))
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, int | Fraction]:
         m = min(self.terms, key=_mono_key)
         return m, self.terms[m]
 
@@ -188,7 +219,7 @@ class Poly:
                 dv = JetVariable(v.base, mi_add(v.deriv, ei))
                 rest = list(mono[:idx]) + ([(v, e - 1)] if e > 1 else []) + list(mono[idx + 1:])
                 base = tuple(sorted(rest, key=lambda p: _var_key(p[0])))
-                out = out + Poly({_mono_mul(base, ((dv, 1),)): c * e})
+                out = out + Poly({_mono_mul(base, ((dv, 1),)): _exact(c * e)})
         return out
 
     def variables(self) -> set[JetVariable]:
@@ -203,7 +234,7 @@ class Poly:
             total += t
         return total
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda p: _mono_key(p[0]))
 
 
@@ -251,8 +282,12 @@ class JetExpr:
         if num.is_zero():
             self.num, self.den = Poly(), _ONE_POLY
             return
-        if den.is_const():
-            num = num.scale(1 / den.const_value())
+        if den is _ONE_POLY:
+            pass
+        elif den.is_const():
+            c = den.terms[_ONE_MONO]
+            if c != 1:
+                num = num.scale(_inverse(c))
             den = _ONE_POLY
         else:
             content = _mono_content([num, den])
@@ -261,8 +296,9 @@ class JetExpr:
                 den = _mono_divide(den, content)
             _, lead = den.leading()
             if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                inv = _inverse(lead)
+                num = num.scale(inv)
+                den = den.scale(inv)
         self.num, self.den = num, den
 
     # -- constructors -------------------------------------------------
@@ -317,7 +353,7 @@ class JetExpr:
         return out
 
     def scale(self, c) -> "JetExpr":
-        return JetExpr(self.num.scale(Fraction(c)), self.den)
+        return JetExpr(self.num.scale(c), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetExpr):
@@ -378,7 +414,7 @@ def proportional(a: JetExpr, b: JetExpr) -> bool:
     mq, cq = q.leading()
     if mp != mq:
         return False
-    return (p - q.scale(cp / cq)).is_zero()
+    return (p - q.scale(Fraction(cp) / cq)).is_zero()
 
 
 def _toposort_bindings(bindings: Mapping[BaseSymbol, JetExpr]) -> list[BaseSymbol]:

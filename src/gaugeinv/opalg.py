@@ -141,13 +141,19 @@ def op_mul(a: DiffOperator, b: DiffOperator) -> DiffOperator:
         raise DimensionMismatchError(f"{a.dim} vs {b.dim}")
     dim = a.dim
     out: dict[MultiIndex, JetExpr] = {}
+    # d^beta h depends only on (w, beta), not on the left term u.
+    jets: dict[tuple[MultiIndex, MultiIndex], JetExpr] = {}
     for u, f in a.terms.items():
         for w, h in b.terms.items():
             for beta in _cartesian(*(range(x + 1) for x in u)):
                 binom = 1
                 for ui, bi in zip(u, beta):
                     binom *= comb(ui, bi)
-                c = f * h.derive_multi(beta) * JetExpr.const(binom)
+                if (w, beta) not in jets:
+                    jets[w, beta] = h.derive_multi(beta)
+                c = f * jets[w, beta]
+                if binom != 1:
+                    c = c.scale(binom)
                 vec = tuple(ui - bi + wi for ui, bi, wi in zip(u, beta, w))
                 out[vec] = out[vec] + c if vec in out else c
     return DiffOperator(dim, out)

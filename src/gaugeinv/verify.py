@@ -152,17 +152,26 @@ def numeric_spot_check(
     )
     instance = {s: _RatPoly.random(n, rng) for s in symbols}
     Eg = substitute(E, ctx.gauge_map)
+    # Each jet variable is derived once per call and evaluated once per
+    # point, however often it occurs in E and Eg.
+    derived: dict[JetVariable, _RatPoly] = {}
+    at: dict[JetVariable, Fraction] = {}
 
-    def value(v: JetVariable, point):
-        return instance[v.base].derive(v.deriv).eval(point)
+    def value(v: JetVariable) -> Fraction:
+        if v not in at:
+            if v not in derived:
+                derived[v] = instance[v.base].derive(v.deriv)
+            at[v] = derived[v].eval(point)
+        return at[v]
 
     for _ in range(points):
         for attempt in range(retries + 1):
             point = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 7))
                           for _ in range(n))
+            at.clear()
             try:
-                before = E.evaluate(lambda v: value(v, point))
-                after = Eg.evaluate(lambda v: value(v, point))
+                before = E.evaluate(value)
+                after = Eg.evaluate(value)
             except ZeroDivisionError:
                 if attempt == retries:
                     raise

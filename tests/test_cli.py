@@ -139,6 +139,15 @@ def test_verify_bad_expression_exits_1(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("expr", ["1/0", "a[1,0]/(a[0,1]-a[0,1])", "0^-1"])
+def test_verify_division_by_zero_exits_1(tmp_path, capsys, expr):
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["verify", path, "--expr", expr])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and "identically-zero" in err
+
+
 def test_gauge_classical(tmp_path, capsys):
     L = class_operator(fx.spec_xy())
     path = write_operator(tmp_path, L)

@@ -66,6 +66,12 @@ def test_parse_errors():
             parse_expr(bad, 2)
 
 
+def test_division_by_identically_zero_expression():
+    for bad in ("1/0", "a[1,0]/(a[0,1]-a[0,1])", "0^-1", "a[1,0]^-2/(2-2)"):
+        with pytest.raises(ExprParseError, match="identically-zero"):
+            parse_expr(bad, 2)
+
+
 def test_print_canonical_forms():
     assert print_expr(parse_expr("a[1,0] + a[0,1]", 2)) == "a[0,1] + a[1,0]"
     assert print_expr(JetExpr.const(0)) == "0"

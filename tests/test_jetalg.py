@@ -152,3 +152,47 @@ def test_evaluate_exact():
     e = (a(1, 0) + a(0, 1)) / a(1, 0)
     got = e.evaluate(lambda v: vals[v])
     assert got == (Fraction(2, 3) - Fraction(1, 5)) / Fraction(2, 3)
+
+
+def _coefficients(e):
+    return list(e.num.terms.values()) + list(e.den.terms.values())
+
+
+def test_coefficients_are_int_when_integral_never_float():
+    x, y = a(1, 0), a(0, 1)
+    half = JetExpr.const(1) / JetExpr.const(2)
+    exprs = [
+        x + y.scale(2),
+        (x * y * y).derive(2, 2),
+        x.scale(Fraction(1, 2)) * JetExpr.const(2),
+        half * x + half * x,
+        x.scale(Fraction(6, 3)),
+        x / y.scale(3),
+        x.scale(Fraction(2, 3)) / (y.scale(Fraction(4, 9)) + x),
+        (x / y.scale(2)).derive(1, 2),
+        (x.scale(Fraction(1, 3)) + y) ** -2,
+        JetExpr.const(Fraction(8, 4)) - JetExpr.const(Fraction(1, 3)),
+    ]
+    for e in exprs:
+        for c in _coefficients(e):
+            assert type(c) in (int, Fraction), (e, c)
+            if c.denominator == 1:
+                assert type(c) is int, (e, c)
+    assert _coefficients(half * x + half * x) == [1, 1]
+    assert _coefficients(x.scale(Fraction(1, 2)) * JetExpr.const(2)) == [1, 1]
+
+
+def test_const_value_is_fraction():
+    third = JetExpr.const(1) / JetExpr.const(3)
+    assert third.const_value() == Fraction(1, 3)
+    assert type(third.const_value()) is Fraction
+    assert type(JetExpr.const(6).const_value()) is Fraction
+    assert type(ZERO.const_value()) is Fraction
+
+
+def test_proportional_with_int_leading_coefficients():
+    x = a(1, 0)
+    assert type(x.scale(3).num.leading()[1]) is int
+    assert proportional(x.scale(3), x)
+    assert proportional(x, x.scale(3))
+    assert not proportional(x, x.scale(3) + ONE)
