@@ -19,7 +19,7 @@ dimension is also provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +43,7 @@ from .jetalg import (
     substitute,
 )
 from .multiindex import MultiIndex
-from .opalg import DiffOperator, Factor, FactorTemplate, expand_sum, gauge
+from .opalg import DiffOperator, Factor, FactorTemplate, expand_sum, expand_template
 
 
 class HypothesisError(ValueError):
@@ -362,26 +362,15 @@ def _q_param(v: MultiIndex) -> BaseSymbol:
     return param_symbol("q" + "_".join(map(str, v)))
 
 
-def build_Cm(
-    analysis: ClassAnalysis, adjust: Mapping[MultiIndex, int] | None = None
-) -> tuple[tuple[FactorTemplate, ...], dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
-    """The class C_m zeroing all maximal and submaximal terms.
-
-    Returns (templates, parameter bindings, assumptions).  ``adjust`` maps
-    lattice vectors to integer counts subtracted from their coefficients
-    before solving (used when correction operators B_w contribute
-    principal symbols at submaximal vectors).
-    """
+def _cm_templates(analysis: ClassAnalysis) -> tuple[FactorTemplate, ...]:
+    """The shifted-factor products of C_m, one per maximal vector."""
     if not analysis.approximately_flat:
         raise NotApproximatelyFlatError("class is not approximately flat")
     if not analysis.framed:
         raise NotFramedError("class is not framed")
-    adjust = dict(adjust or {})
     n = analysis.dimension
-    spec = analysis.spec
-    fmap = _f_submax(analysis)
     preimage: dict[MultiIndex, set[MultiIndex]] = {}
-    for v, m in fmap.items():
+    for v, m in _f_submax(analysis).items():
         preimage.setdefault(m, set()).add(v)
 
     templates = []
@@ -402,8 +391,17 @@ def build_Cm(
             factors.append(
                 Factor.single(mi.unit(n, i), JetExpr.symbol(_p_param(pv), dim=n))
             )
-        templates.append(FactorTemplate(n, tuple(factors), spec.coefficient(m)))
-    templates = tuple(templates)
+        templates.append(FactorTemplate(n, tuple(factors), analysis.spec.coefficient(m)))
+    return tuple(templates)
+
+
+def _solve_Cm(
+    analysis: ClassAnalysis,
+    expanded: DiffOperator,
+    adjust: Mapping[MultiIndex, int],
+) -> tuple[dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
+    """Parameter bindings and assumptions of C_m, given its expansion."""
+    n = analysis.dimension
 
     def adjusted(v: MultiIndex) -> JetExpr:
         a_v = JetExpr.symbol(coeff_symbol(v), dim=n)
@@ -419,33 +417,118 @@ def build_Cm(
     }
 
     # Each residual submaximal coefficient then determines its p_v.
-    expanded = expand_sum(templates)
-    for v in mi.sort_canonical(fmap):
+    for v in mi.sort_canonical(_f_submax(analysis)):
         eq = substitute(expanded.coefficient(v), bindings) - adjusted(v)
-        value, pivot = _solve_param_linear(eq, _p_param(v), n)
+        value, pivot = _solve_param_linear(eq, _p_param(v))
         bindings[_p_param(v)] = value
         if not pivot.is_const():
             assumptions.append(pivot)
-    return templates, bindings, _dedupe(assumptions)
+    return bindings, _dedupe(assumptions)
 
 
-def _solve_param_linear(
-    eq: JetExpr, param: BaseSymbol, dim: int
-) -> tuple[JetExpr, JetExpr]:
+def build_Cm(
+    analysis: ClassAnalysis, adjust: Mapping[MultiIndex, int] | None = None
+) -> tuple[tuple[FactorTemplate, ...], dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
+    """The class C_m zeroing all maximal and submaximal terms.
+
+    Returns (templates, parameter bindings, assumptions).  ``adjust`` maps
+    lattice vectors to integer counts subtracted from their coefficients
+    before solving (used when correction operators B_w contribute
+    principal symbols at submaximal vectors).
+    """
+    templates = _cm_templates(analysis)
+    bindings, assumptions = _solve_Cm(analysis, expand_sum(templates), adjust or {})
+    return templates, bindings, assumptions
+
+
+def _solve_param_linear(eq: JetExpr, param: BaseSymbol) -> tuple[JetExpr, JetExpr]:
     """Solve eq == 0 for param, requiring eq to be linear in it.
 
-    Returns (value, pivot coefficient).  Linearity and solvability are
-    checked, not assumed.
+    The numerator of eq is split as A*param + B (``jetalg.linear_parts``);
+    the value is -B/A and A is returned as the pivot coefficient.  Raises
+    SolveError when param occurs to a power above 1, in the denominator,
+    or not at all.
+
+    Terms holding a derivative of param (param_x, ...) are dropped, as if
+    param were a constant.  That is wrong when the derivative matters: on
+    the class d_xx with the templates d_x(d_x + p) and (1 + p) it binds
+    p = a[0] - 1 and the emitted record is not invariant.  Such equations
+    should raise instead; ROADMAP item 3a tracks the fix.
     """
-    at = [
-        substitute(eq, {param: JetExpr.const(k)}) for k in range(3)
-    ]
-    if not (at[2] - at[1].scale(2) + at[0]).is_zero():
-        raise SolveError(f"equation is not linear in {param.text()}")
-    pivot = at[1] - at[0]
-    if pivot.is_zero():
+    try:
+        coeff, rest = jetalg.linear_parts(eq, param)
+    except jetalg.NotLinearError as exc:
+        raise SolveError(f"equation is not linear in {param.text()}: {exc}") from None
+    if coeff.is_zero():
         raise SolveError(f"parameter {param.text()} does not occur in its equation")
-    return -at[0] / pivot, pivot
+    return -rest / coeff, coeff
+
+
+class _GenericParts:
+    """The operators of the generic construction that do not depend on the
+    interior vector, built once per call (each B_w on first use)."""
+
+    def __init__(self, analysis: ClassAnalysis):
+        self.analysis = analysis
+        self.templates = _cm_templates(analysis)
+        self.expanded = expand_sum(self.templates)
+        self.L = class_operator(analysis.spec)
+        self.fint = _f_interior(analysis)
+        self.interior = mi.sort_canonical(analysis.interior_set)
+        self.b_parts: dict[MultiIndex, tuple[FactorTemplate, DiffOperator]] = {}
+
+    def b_part(self, w: MultiIndex) -> tuple[FactorTemplate, DiffOperator]:
+        """B_w = (d_{x_j} + q_w) prod_i (d_{x_i} + c_i)^{w(i)} and its expansion."""
+        if w not in self.b_parts:
+            n = self.analysis.dimension
+            j = next(
+                i for i in range(1, n + 1)
+                if mi.add(w, mi.unit(n, i)) == self.fint[w]
+            )
+            factors = [Factor.single(mi.unit(n, j), JetExpr.symbol(_q_param(w), dim=n))]
+            for i in range(1, n + 1):
+                ci = JetExpr.symbol(_c_param(i), dim=n)
+                factors.extend([Factor.single(mi.unit(n, i), ci)] * w[i - 1])
+            t = FactorTemplate(n, tuple(factors))
+            self.b_parts[w] = (t, expand_template(t))
+        return self.b_parts[w]
+
+    def upward(self, v: MultiIndex) -> InvariantRecord:
+        analysis = self.analysis
+        W = [w for w in self.interior if mi.below(v, w)]
+        adjust: dict[MultiIndex, int] = {}
+        for w in W:
+            adjust[self.fint[w]] = adjust.get(self.fint[w], 0) + 1
+        bindings, assumptions = _solve_Cm(analysis, self.expanded, adjust)
+
+        # C is the C_m sum, then each B_w in W's order; that order fixes
+        # the term order of C and so of every record.
+        b_templates = []
+        C = self.expanded
+        for w in W:
+            t, op = self.b_part(w)
+            b_templates.append(t)
+            C = C + op
+        D = self.L - C
+
+        # q_w solves, decreasing graded order with lexicographic tie-break.
+        for w in W:
+            eq = substitute(D.coefficient(w), bindings)
+            value, pivot = _solve_param_linear(eq, _q_param(w))
+            bindings[_q_param(w)] = value
+            if not pivot.is_const():
+                assumptions = assumptions + (pivot,)
+
+        expr = substitute(D.coefficient(v), bindings)
+        _check_no_solver_params(expr, f"I_{{{_vec_tag(v)}}}", _spec_params(analysis.spec))
+        return InvariantRecord(
+            "upward",
+            f"I_{{{_vec_tag(v)}}}",
+            expr,
+            _dedupe(assumptions),
+            target_vector=v,
+            representation=Representation(self.templates + tuple(b_templates), bindings),
+        )
 
 
 def upward_invariant_generic(
@@ -457,55 +540,14 @@ def upward_invariant_generic(
     B_w = (d_{x_j} + q_w) prod_i (d_{x_i} + c_i)^{w(i)} and f(w) = w + e_j
     is the lexicographically smallest non-maximal cover of w.  The c_i and
     p_u are solved against L' = L - sum of d^{f(w)}; the q_w are then
-    forced one at a time in decreasing graded-lexicographic order.
+    forced one at a time in decreasing graded-lexicographic order.  The
+    operators built here do not depend on v; ``complete_set`` builds them
+    once for all interior vectors and gives the same record for each.
     """
     v = tuple(v)
     if v not in analysis.interior_set:
         raise ValueError(f"{v} is not an interior vector")
-    n = analysis.dimension
-    W = [w for w in mi.sort_canonical(analysis.interior_set) if mi.below(v, w)]
-    fint = _f_interior(analysis)
-    adjust: dict[MultiIndex, int] = {}
-    for w in W:
-        adjust[fint[w]] = adjust.get(fint[w], 0) + 1
-
-    templates, bindings, assumptions = build_Cm(analysis, adjust)
-
-    b_templates = []
-    for w in W:
-        j = next(
-            i for i in range(1, n + 1)
-            if mi.add(w, mi.unit(n, i)) == fint[w]
-        )
-        factors = [Factor.single(mi.unit(n, j), JetExpr.symbol(_q_param(w), dim=n))]
-        for i in range(1, n + 1):
-            ci = JetExpr.symbol(_c_param(i), dim=n)
-            factors.extend([Factor.single(mi.unit(n, i), ci)] * w[i - 1])
-        b_templates.append(FactorTemplate(n, tuple(factors)))
-
-    all_templates = templates + tuple(b_templates)
-    C = expand_sum(all_templates)
-    L = class_operator(analysis.spec)
-    D = L - C
-
-    # q_w solves, decreasing graded order with lexicographic tie-break.
-    for w in W:
-        eq = substitute(D.coefficient(w), bindings)
-        value, pivot = _solve_param_linear(eq, _q_param(w), n)
-        bindings[_q_param(w)] = value
-        if not pivot.is_const():
-            assumptions = assumptions + (pivot,)
-
-    expr = substitute(D.coefficient(v), bindings)
-    _check_no_solver_params(expr, f"I_{{{_vec_tag(v)}}}", _spec_params(analysis.spec))
-    return InvariantRecord(
-        "upward",
-        f"I_{{{_vec_tag(v)}}}",
-        expr,
-        _dedupe(assumptions),
-        target_vector=v,
-        representation=Representation(all_templates, bindings),
-    )
+    return _GenericParts(analysis).upward(v)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +656,6 @@ def upward_invariants_from_template(
     if len(stages) != len(stage_targets):
         raise ValueError("stages and stage_targets must have equal length")
     spec_params = _spec_params(analysis.spec)
-    n = analysis.dimension
     L = class_operator(analysis.spec)
     records: list[InvariantRecord] = []
     emitted: set[MultiIndex] = set()
@@ -649,7 +690,7 @@ def upward_invariants_from_template(
                     )
                 if len(present) == 1:
                     param = next(iter(present))
-                    value, pivot = _solve_param_linear(eq, param, n)
+                    value, pivot = _solve_param_linear(eq, param)
                     bindings[param] = value
                     if not pivot.is_const():
                         assumptions.append(pivot)
@@ -718,16 +759,7 @@ def _lift_hyperbolic(expr: JetExpr, m: int) -> JetExpr:
             cache[var] = base.derive_multi(var.deriv + (0,))
         return cache[var]
 
-    def apply_poly(poly: Poly) -> JetExpr:
-        total = ZERO
-        for mono, c in poly.terms.items():
-            t = JetExpr.const(c)
-            for var, e in mono:
-                t = t * value(var) ** e
-            total = total + t
-        return total
-
-    return apply_poly(expr.num) / apply_poly(expr.den)
+    return jetalg.map_jets(expr, value)
 
 
 def recursive_hyperbolic_bottom(n: int) -> InvariantRecord:
@@ -837,6 +869,12 @@ def x3_strict_upward(
 def complete_set(spec: ClassSpec) -> tuple[list[InvariantRecord], dict]:
     """Assemble a complete set of invariants with its completeness audit.
 
+    The upward records are those of ``upward_invariant_generic`` for each
+    interior vector, but the operators that do not depend on the vector
+    (the C_m templates and their expansion, each B_w and its expansion,
+    the class operator and the map f) are built once for this call and
+    shared; only the parameter solves are made per vector.
+
     Raises NotApproximatelyFlatError / NotFramedError (with diagnostics)
     when the hypotheses of the main construction fail.
     """
@@ -845,8 +883,9 @@ def complete_set(spec: ClassSpec) -> tuple[list[InvariantRecord], dict]:
     records = maximal_invariants(spec)
     records += extra_invariants(sol)
     records += compatibility_invariants(sol)
-    for v in mi.sort_canonical(an.interior_set):
-        records.append(upward_invariant_generic(an, v))
+    if an.interior_set:
+        parts = _GenericParts(an)
+        records += [parts.upward(v) for v in parts.interior]
     n = spec.dimension
     s = len(an.submaximal_set)
     counts = {k: sum(1 for r in records if r.kind == k)

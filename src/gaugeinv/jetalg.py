@@ -38,6 +38,10 @@ class CyclicBindingError(ValueError):
     """A bound symbol appears in its own binding after closure."""
 
 
+class NotLinearError(ValueError):
+    """An expression is not of the form A*p + B in a symbol p."""
+
+
 class BaseSymbol(NamedTuple):
     kind: str
     vector: MultiIndex | None  # owner vector for coefficients
@@ -61,6 +65,11 @@ def param_symbol(name: str) -> BaseSymbol:
     if not name or name == "g":
         raise ValueError(f"invalid parameter name {name!r}")
     return BaseSymbol(KIND_PARAM, None, name)
+
+
+def symbol_key(b: BaseSymbol):
+    """Sort key of base symbols: kind name, owner vector, then name."""
+    return (b.kind, b.vector or (), b.name or "")
 
 
 class JetVariable(NamedTuple):
@@ -431,12 +440,12 @@ def _toposort_bindings(bindings: Mapping[BaseSymbol, JetExpr]) -> list[BaseSymbo
             cyc = " -> ".join(x.text() for x in stack + [s])
             raise CyclicBindingError(f"cyclic substitution: {cyc}")
         mark[s] = 1
-        for t in sorted(deps[s], key=lambda b: (b.kind, b.vector or (), b.name or "")):
+        for t in sorted(deps[s], key=symbol_key):
             visit(t, stack + [s])
         mark[s] = 2
         out.append(s)
 
-    for s in sorted(bound, key=lambda b: (b.kind, b.vector or (), b.name or "")):
+    for s in sorted(bound, key=symbol_key):
         visit(s, [])
     return out
 
@@ -486,6 +495,16 @@ def _apply_bindings(e: JetExpr, resolved: Mapping[BaseSymbol, JetExpr]) -> JetEx
             cache[v] = resolved[v.base].derive_multi(v.deriv)
         return cache[v]
 
+    return map_jets(e, value)
+
+
+def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
+    """The ring map sending each jet variable v of e to value(v).
+
+    Numerator and denominator are mapped term by term, in term order, and
+    the two images divided.
+    """
+
     def apply_poly(p: Poly) -> JetExpr:
         total = ZERO
         for mono, c in p.terms.items():
@@ -496,3 +515,34 @@ def _apply_bindings(e: JetExpr, resolved: Mapping[BaseSymbol, JetExpr]) -> JetEx
         return total
 
     return apply_poly(e.num) / apply_poly(e.den)
+
+
+def linear_parts(e: JetExpr, base: BaseSymbol) -> tuple[JetExpr, JetExpr]:
+    """(A, B) with e = A*p + B, where p is the underived jet of ``base``.
+
+    The numerator is split by the degree of p in each term; A and B keep
+    the denominator of e.  A term holding a derivative of p (such as p_x)
+    is dropped: it is read as p set to a constant, under which such jets
+    vanish.  Raises NotLinearError when any jet of p occurs in the
+    denominator or p occurs to a power above 1.
+    """
+    name = base.text()
+    if any(v.base == base for v in e.den.variables()):
+        raise NotLinearError(f"{name} occurs in the denominator")
+    coeff: dict[Mono, int | Fraction] = {}
+    rest: dict[Mono, int | Fraction] = {}
+    for mono, c in e.num.terms.items():
+        power = 0
+        for v, k in mono:
+            if v.base == base:
+                if any(v.deriv):
+                    break
+                power = k
+        else:
+            if power > 1:
+                raise NotLinearError(f"{name} occurs to the power {power}")
+            if power:
+                coeff[tuple(vk for vk in mono if vk[0].base != base)] = c
+            else:
+                rest[mono] = c
+    return JetExpr(Poly(coeff), e.den), JetExpr(Poly(rest), e.den)

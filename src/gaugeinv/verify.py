@@ -26,6 +26,7 @@ from .jetalg import (
     KIND_GAUGE,
     coeff_symbol,
     substitute,
+    symbol_key,
 )
 from .opalg import DiffOperator, gauge
 
@@ -148,7 +149,7 @@ def numeric_spot_check(
     symbols = sorted(
         ctx.operator.base_symbols() | {s for e in ctx.gauge_map.values()
                                        for s in e.base_symbols()},
-        key=lambda s: (s.kind, s.vector or (), s.name or ""),
+        key=symbol_key,
     )
     instance = {s: _RatPoly.random(n, rng) for s in symbols}
     Eg = substitute(E, ctx.gauge_map)

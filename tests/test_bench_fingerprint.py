@@ -1,0 +1,40 @@
+"""Every benchmark workload gives its reference output, byte for byte.
+
+Each test runs one round of a workload of ``bench/run.py`` at seed 1 in a
+fresh process and compares the sha256 fingerprint of its canonical output
+with the reference, so a change that alters any printed record, audit,
+verdict or exit code fails here.  The staged d_xx fault fails once per
+construct round until it is mended.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# workload -> (failed, attempted, sha256) of one round at seed 1
+REFERENCE = {
+    "construct": (1, 18, "a0a82804a0224396375425131a02cb221272d60df4719520483f0fd76eda1c5a"),
+    "verify": (0, 40, "a024c77e1abfca4d4c2915a23c38fc59ae90c875aad1b9d18047644c278fe029"),
+    "cli_sweep": (0, 76, "3bdde659cc0312e1099721851e8e45bb6800daba8e039efe01edb4bbdc981f3a"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE))
+def test_workload_output_is_unchanged(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reference, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    failed, attempted, sha256 = REFERENCE[workload]
+    assert result["correct"], proc.stderr
+    assert (result["failed"], result["attempted"]) == (failed, attempted)
+    assert reference["reference"]["sha256"] == sha256

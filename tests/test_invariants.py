@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaugeinv.classify import analyze, class_operator
+from gaugeinv.classify import ClassSpec, analyze, class_operator
 from gaugeinv.grammar import parse_expr, print_expr
 from gaugeinv.invariants import (
     NotApproximatelyFlatError,
@@ -28,8 +28,9 @@ from gaugeinv.invariants import (
     upward_invariant_generic,
     upward_invariants_from_template,
     x3_strict_upward,
+    _solve_param_linear,
 )
-from gaugeinv.jetalg import JetExpr, ONE, param_symbol, proportional, substitute
+from gaugeinv.jetalg import JetExpr, ONE, ZERO, param_symbol, proportional, substitute
 from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, expand_sum
 from gaugeinv.verify import DeltaContext, is_invariant, numeric_spot_check
 
@@ -245,6 +246,52 @@ def test_generic_upward_all_verified_xxxyy():
         assert ok, (v, print_expr(residual))
 
 
+def test_complete_set_upward_records_match_single_calls():
+    # complete_set shares the generic operators between interior vectors;
+    # each record must be the one a call for its vector alone gives.
+    specs = [
+        ClassSpec(2, (((2, 2), ONE),)),
+        ClassSpec(2, (((2, 2), P("p")), ((3, 0), ONE), ((0, 3), P("q")))),
+        ClassSpec(4, (((1, 1, 1, 1), ONE),)),
+    ]
+    for spec in specs:
+        an = analyze(spec)
+        records, _ = complete_set(spec)
+        upward = [r for r in records if r.kind == "upward"]
+        assert len(upward) == len(an.interior_set)
+        for rec in upward:
+            alone = upward_invariant_generic(an, rec.target_vector)
+            assert rec.to_json() == alone.to_json(), rec.label
+
+
+# ---------------------------------------------------------------------------
+# The linear parameter solve.
+# ---------------------------------------------------------------------------
+
+
+def test_solve_param_linear_value_zeroes_the_equation():
+    p = param_symbol("p")
+    eq = P("(a[1,1]*p - a[2,0]*p + a[0,1] - 1)/(a[1,0] + 2)")
+    value, pivot = _solve_param_linear(eq, p)
+    assert substitute(eq, {p: value}).is_zero()
+    assert pivot == P("(a[1,1] - a[2,0])/(a[1,0] + 2)")
+
+
+def test_solve_param_linear_rejects_square():
+    with pytest.raises(SolveError):
+        _solve_param_linear(P("p^2 - a[1,0]"), param_symbol("p"))
+
+
+def test_solve_param_linear_rejects_absent_parameter():
+    with pytest.raises(SolveError):
+        _solve_param_linear(P("a[1,0] - 1"), param_symbol("p"))
+
+
+def test_solve_param_linear_rejects_parameter_in_denominator():
+    with pytest.raises(SolveError):
+        _solve_param_linear(P("a[1,0] - 1/p"), param_symbol("p"))
+
+
 # ---------------------------------------------------------------------------
 # Staged template engine.
 # ---------------------------------------------------------------------------
@@ -296,6 +343,24 @@ def test_template_engine_underdetermined_stage():
     with pytest.raises(SolveError):
         # only one target for two parameters
         upward_invariants_from_template(an, [[t1]], [[(2, 0)]])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open fault (ROADMAP items 3a and 1a): the solve reads p_x as zero, "
+    "binds p = a[0] - 1 and emits a[1] - a[0] + 1, which is not invariant",
+)
+def test_template_engine_rejects_derivative_of_parameter():
+    # class d_xx, templates d_x(d_x + p) and (1 + p), target (0,): the
+    # equation at (0,) holds p_x, so p cannot be solved for exactly.
+    an = analyze(ClassSpec(1, (((2,), ONE),)))
+    p = par("p", dim=1)
+    templates = [
+        FactorTemplate(1, (Factor(((1,),), ZERO), Factor.single((1,), p))),
+        FactorTemplate(1, (Factor((), ONE + p),)),
+    ]
+    with pytest.raises(SolveError):
+        upward_invariants_from_template(an, [templates], [[(0,)]])
 
 
 def test_closure_check_flags_shared_cross_direction_parameter():

@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+from gaugeinv.grammar import parse_expr
 from gaugeinv.jetalg import (
     CyclicBindingError,
     JetExpr,
     JetVariable,
+    NotLinearError,
     ONE,
     ZERO,
     coeff_symbol,
     equal,
     gauge_symbol,
+    linear_parts,
+    map_jets,
     param_symbol,
     proportional,
     resolve_bindings,
     substitute,
+    symbol_key,
 )
 
 
@@ -196,3 +201,50 @@ def test_proportional_with_int_leading_coefficients():
     assert proportional(x.scale(3), x)
     assert proportional(x, x.scale(3))
     assert not proportional(x, x.scale(3) + ONE)
+
+
+def test_linear_parts_splits_the_numerator():
+    p = param_symbol("p")
+    e = parse_expr("(a[1,0]*p + 2*p - a[0,1]^2 + 3)/a[1,1]", 2)
+    coeff, rest = linear_parts(e, p)
+    assert coeff == parse_expr("(a[1,0] + 2)/a[1,1]", 2)
+    assert rest == parse_expr("(3 - a[0,1]^2)/a[1,1]", 2)
+    assert coeff * JetExpr.symbol(p, dim=2) + rest == e
+
+
+def test_linear_parts_drops_derivatives_of_the_symbol():
+    # read as p set to a constant: every jet p_x, p_y, ... vanishes
+    p = param_symbol("p")
+    e = parse_expr("a[1,0]*p + p;[1,0]*a[0,1] + p*p;[0,1] + 1", 2)
+    coeff, rest = linear_parts(e, p)
+    assert coeff == a(1, 0)
+    assert rest == ONE
+
+
+@pytest.mark.parametrize("text", ["p^2 + a[1,0]", "a[1,0]/(p + 1)", "1/(a[1,0] + p;[1,0])"])
+def test_linear_parts_rejects(text):
+    with pytest.raises(NotLinearError):
+        linear_parts(parse_expr(text, 2), param_symbol("p"))
+
+
+def test_linear_parts_without_the_symbol():
+    coeff, rest = linear_parts(a(1, 0) / a(0, 1), param_symbol("p"))
+    assert coeff.is_zero()
+    assert rest == a(1, 0) / a(0, 1)
+
+
+def test_map_jets_is_a_ring_map():
+    x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
+    e = (a(1, 0) * a(1, 0) + a(0, 1).derive(1, 2)) / (a(0, 1) + ONE)
+    images = {x: a(0, 0) + ONE, y: a(0, 0) * a(1, 1)}
+    got = map_jets(e, lambda v: images[v.base].derive_multi(v.deriv))
+    assert got == substitute(e, images)
+
+
+def test_symbol_key_orders_by_kind_vector_name():
+    symbols = [param_symbol("q"), gauge_symbol(), coeff_symbol((0, 1)),
+               param_symbol("p"), coeff_symbol((1, 0))]
+    assert sorted(symbols, key=symbol_key) == [
+        coeff_symbol((0, 1)), coeff_symbol((1, 0)), gauge_symbol(),
+        param_symbol("p"), param_symbol("q"),
+    ]
