@@ -13,7 +13,8 @@ verify <spec.json> --expr <expr> [--seed K]
     Print the verification report for one expression over the class.
 
 Exit codes: 0 success, 1 parse error, 2 hypothesis/semantic error,
-3 verification failure.
+3 verification failure, 4 internal error (any other exception, reported
+as one line on stderr instead of a traceback).
 
 Template files are JSON of the form::
 
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except Exception as exc:  # a fault in gaugeinv, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

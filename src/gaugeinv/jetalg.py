@@ -234,15 +234,6 @@ class Poly:
     def variables(self) -> set[JetVariable]:
         return {v for m in self.terms for v, _ in m}
 
-    def evaluate(self, value: Callable[[JetVariable], Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            t = c
-            for v, e in m:
-                t *= value(v) ** e
-            total += t
-        return total
-
     def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda p: _mono_key(p[0]))
 
@@ -392,12 +383,6 @@ class JetExpr:
 
     def base_symbols(self) -> set[BaseSymbol]:
         return {v.base for v in self.variables()}
-
-    def evaluate(self, value: Callable[[JetVariable], Fraction]) -> Fraction:
-        d = self.den.evaluate(value)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanished at sample point")
-        return self.num.evaluate(value) / d
 
     def __repr__(self):
         from .grammar import print_expr

@@ -4,16 +4,23 @@ For a class with generic operator L and gauged operator L' = e^{-g} L e^g,
 the difference of an expression E in the coefficients is Delta(E) = E' - E,
 where E' replaces every coefficient a_v (and its derivatives) by the
 corresponding coefficient of L'.  E is invariant iff Delta(E) is
-identically zero.  A seeded numeric spot check instantiates all symbols as
-random polynomial functions and compares exact evaluations, giving an
-oracle independent of the symbolic normalization.
+identically zero.
+
+``numeric_spot_check`` is a second, independent check of that verdict.
+It instantiates every symbol as a seeded random polynomial function and
+gauges the concrete operator itself, one jet at a time at a sample point,
+with its own Leibniz recursion; it shares neither ``substitute`` nor
+``gauge`` with Delta.  It computes on residues modulo the prime 2^61 - 1,
+so it is a Schwartz-Zippel identity test (Schwartz, J. ACM 1980): a wrong
+verdict needs E' - E to vanish at every sample point without vanishing
+identically.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _cartesian
+from math import comb
 
 from . import multiindex as mi
 from .classify import ClassSpec, class_operator
@@ -25,6 +32,7 @@ from .jetalg import (
     KIND_COEFF,
     KIND_GAUGE,
     coeff_symbol,
+    gauge_symbol,
     substitute,
     symbol_key,
 )
@@ -60,12 +68,12 @@ class DeltaContext:
         return DeltaContext(spec, L, Lg, gmap)
 
     def _check(self, E: JetExpr) -> None:
-        lattice = {s.vector for s in self.gauge_map}
-        maximal = {v for v, _ in self.spec.maximal_terms}
+        known = {s.vector for s in self.gauge_map}
+        known.update(v for v, _ in self.spec.maximal_terms)
         for s in E.base_symbols():
             if s.kind == KIND_GAUGE:
                 raise ValueError("expression already contains the gauge symbol")
-            if s.kind == KIND_COEFF and s.vector not in lattice | maximal:
+            if s.kind == KIND_COEFF and s.vector not in known:
                 raise UnknownCoefficientError(
                     f"coefficient a_{s.vector} is not in the class lattice"
                 )
@@ -88,44 +96,101 @@ def is_invariant(E: JetExpr, ctx: DeltaContext) -> tuple[bool, JetExpr]:
     return residual.is_zero(), residual
 
 
+_P = 2**61 - 1  # a Mersenne prime; the oracle computes modulo _P
+
+
+def _ratio(num: int, den: int) -> int:
+    """num/den modulo _P; ZeroDivisionError when _P divides den."""
+    if not den % _P:
+        raise ZeroDivisionError("denominator divisible by the oracle's prime")
+    return num * pow(den, -1, _P) % _P
+
+
+def _residue(c) -> int:
+    """An int or Fraction coefficient modulo _P."""
+    return c % _P if type(c) is int else _ratio(c.numerator, c.denominator)
+
+
 class _RatPoly:
-    """Polynomial function of x_1..x_n over Q (numeric oracle plumbing)."""
+    """Polynomial function of x_1..x_n with coefficients modulo _P."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, n: int, terms: dict[tuple[int, ...], int]):
         self.n = n
         self.terms = {m: c for m, c in terms.items() if c}
 
     @staticmethod
     def random(n: int, rng: random.Random, max_degree: int = 3) -> "_RatPoly":
+        """Coefficients i/j with -7 <= i <= 7 and 1 <= j <= 7, reduced."""
         terms = {}
         for m in _cartesian(*(range(max_degree + 1) for _ in range(n))):
             if sum(m) > max_degree:
                 continue
-            terms[m] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+            terms[m] = _ratio(rng.randint(-7, 7), rng.randint(1, 7))
         return _RatPoly(n, terms)
 
     def derive(self, deriv: tuple[int, ...]) -> "_RatPoly":
         terms = self.terms
         for i, k in enumerate(deriv):
             for _ in range(k):
-                new: dict[tuple[int, ...], Fraction] = {}
-                for m, c in terms.items():
-                    if m[i] > 0:
-                        dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-                        new[dm] = new.get(dm, Fraction(0)) + c * m[i]
-                terms = new
+                # m -> m - e_i is injective, so no two terms collide.
+                terms = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] % _P
+                         for m, c in terms.items() if m[i]}
         return _RatPoly(self.n, terms)
 
-    def eval(self, point: tuple[Fraction, ...]) -> Fraction:
-        total = Fraction(0)
+    def eval(self, point: tuple[int, ...]) -> int:
+        total = 0
         for m, c in self.terms.items():
-            t = c
             for x, e in zip(point, m):
-                t *= x ** e
-            total += t
-        return total
+                if e:
+                    c = c * x ** e % _P
+            total += c
+        return total % _P
+
+
+def _value(terms, jet) -> int:
+    """A polynomial, given as (residue, monomial) pairs, at jet(v) per variable."""
+    total = 0
+    for c, mono in terms:
+        for v, e in mono:
+            c = c * pow(jet(v), e, _P) % _P
+        total += c
+    return total % _P
+
+
+def _b_jet(u, gamma, g_jet, memo) -> int:
+    """d^gamma B_u at the sample point, for B_u = e^{-g} d^u e^g.
+
+    B_0 = 1 and B_{u+e_i} = d_i B_u + g_{x_i} B_u, so by Leibniz
+    d^gamma B_{u+e_i} = d^{gamma+e_i} B_u
+                        + sum_{delta <= gamma} C(gamma, delta) d^{delta+e_i} g
+                                               * d^{gamma-delta} B_u.
+    g_jet(d) is d^d g at the point; memo maps (u, gamma) to known values.
+    """
+    if not any(u):
+        return 0 if any(gamma) else 1
+    key = (u, gamma)
+    r = memo.get(key)
+    if r is None:
+        i = next(k for k, x in enumerate(u) if x)
+        prev = u[:i] + (u[i] - 1,) + u[i + 1:]
+        r = _b_jet(prev, gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:], g_jet, memo)
+        for delta in _cartesian(*(range(x + 1) for x in gamma)):
+            gd = g_jet(delta[:i] + (delta[i] + 1,) + delta[i + 1:])
+            if gd:
+                rest = tuple(a - b for a, b in zip(gamma, delta))
+                r += _binom(gamma, delta) * gd * _b_jet(prev, rest, g_jet, memo)
+        r = memo[key] = r % _P
+    return r
+
+
+def _binom(v, w) -> int:
+    """The multinomial binomial C(v, w) = prod_i binom(v_i, w_i)."""
+    out = 1
+    for a, b in zip(v, w):
+        out *= comb(a, b)
+    return out
 
 
 def numeric_spot_check(
@@ -137,47 +202,106 @@ def numeric_spot_check(
 ) -> bool:
     """Compare E on random polynomial coefficients before and after gauging.
 
-    Every free symbol of the context (all lattice coefficients, symbolic
-    maximal coefficients, and g) becomes a random polynomial of total
-    degree <= 3 with small rational coefficients; E and its gauged
-    counterpart are evaluated exactly at random rational points.  Points
-    that hit a vanishing denominator are resampled (bounded retries).
+    Every free symbol of the class (the non-maximal lattice coefficients,
+    the symbolic maximal coefficients, and g) becomes a random polynomial
+    in x_1..x_n of total degree <= 3 with small rational coefficients.  At
+    a random rational point, E is evaluated once on the jets of those
+    polynomials and once on the jets of the gauged coefficients.  The
+    gauged jets come from the concrete operator itself, by Leibniz:
+
+        d^alpha a'_w = sum_{v >= w} C(v, w) sum_{beta <= alpha} C(alpha, beta)
+                                   * d^beta c_v * d^{alpha-beta} B_{v-w},
+
+    with c_v the coefficient of d^v and B_u as in ``_b_jet``.  Neither
+    ``substitute`` nor ``gauge`` nor the values of ``ctx.gauge_map`` are
+    used, so the check is independent of the symbolic Delta it checks.
+
+    All arithmetic is on residues modulo the prime P = 2^61 - 1; every
+    rational (instance coefficient, point coordinate, coefficient of E) is
+    reduced as numerator * denominator^-1.  Cleared of denominators,
+    E' - E is a polynomial N in the instance coefficients and the point
+    coordinates, and the check is the identity test of N over the field of
+    P elements.  By the Schwartz-Zippel lemma a nonzero N of total degree
+    d vanishes at a point drawn uniformly from a sample set S with
+    probability at most d/|S|, over Q and modulo P alike; the reduction
+    changes a verdict of exact arithmetic at the same draws only when P
+    divides the numerator of a nonzero exact value.  A point at which a
+    denominator of E, before or after gauging, vanishes modulo P is
+    resampled, at most ``retries`` times per point; after that the
+    ZeroDivisionError propagates.
     """
     ctx._check(E)
     n = ctx.spec.dimension
     rng = random.Random(seed)
-    symbols = sorted(
-        ctx.operator.base_symbols() | {s for e in ctx.gauge_map.values()
-                                       for s in e.base_symbols()},
-        key=symbol_key,
-    )
-    instance = {s: _RatPoly.random(n, rng) for s in symbols}
-    Eg = substitute(E, ctx.gauge_map)
+    L = ctx.operator
+    maximal = {v for v, _ in ctx.spec.maximal_terms}
+    gauged = L.support() - maximal
+    g = gauge_symbol()
+    # The symbols of L and L'; g occurs in L' when any coefficient is gauged.
+    symbols = L.base_symbols() | ({g} if gauged else set())
+    instance = {s: _RatPoly.random(n, rng) for s in sorted(symbols, key=symbol_key)}
+    # The coefficient of each d^v: a residue when constant, else the jet
+    # variable of its single symbol.
+    coeff = {v: _residue(c.const_value()) if c.is_const() else next(iter(c.variables()))
+             for v, c in L.terms.items()}
+    num = [(_residue(c), m) for m, c in E.num.terms.items()]
+    den = [(_residue(c), m) for m, c in E.den.terms.items()]
     # Each jet variable is derived once per call and evaluated once per
-    # point, however often it occurs in E and Eg.
+    # point; the memos of one point are cleared for the next.
     derived: dict[JetVariable, _RatPoly] = {}
-    at: dict[JetVariable, Fraction] = {}
+    at: dict[JetVariable, int] = {}
+    after_at: dict[JetVariable, int] = {}
+    b_memo: dict = {}
 
-    def value(v: JetVariable) -> Fraction:
-        if v not in at:
-            if v not in derived:
-                derived[v] = instance[v.base].derive(v.deriv)
-            at[v] = derived[v].eval(point)
-        return at[v]
+    def jet(v: JetVariable) -> int:
+        r = at.get(v)
+        if r is None:
+            poly = derived.get(v)
+            if poly is None:
+                poly = derived[v] = instance[v.base].derive(v.deriv)
+            r = at[v] = poly.eval(point)
+        return r
+
+    def g_jet(d) -> int:
+        return jet(JetVariable(g, d))
+
+    def after(var: JetVariable) -> int:
+        w = var.base.vector
+        if var.base.kind != KIND_COEFF or w not in gauged:
+            return jet(var)
+        r = after_at.get(var)
+        if r is None:
+            alpha = var.deriv
+            r = 0
+            for v, c in coeff.items():
+                if not mi.leq(w, v):
+                    continue
+                k = _binom(v, w)
+                u = tuple(a - b for a, b in zip(v, w))
+                if type(c) is int:
+                    r += k * c * _b_jet(u, alpha, g_jet, b_memo)
+                    continue
+                for beta in _cartesian(*(range(x + 1) for x in alpha)):
+                    cj = jet(JetVariable(c.base, beta))
+                    if cj:
+                        gamma = tuple(a - b for a, b in zip(alpha, beta))
+                        r += k * _binom(alpha, beta) * cj * _b_jet(u, gamma, g_jet, b_memo)
+            r = after_at[var] = r % _P
+        return r
 
     for _ in range(points):
         for attempt in range(retries + 1):
-            point = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 7))
-                          for _ in range(n))
+            point = tuple(_ratio(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n))
             at.clear()
-            try:
-                before = E.evaluate(value)
-                after = Eg.evaluate(value)
-            except ZeroDivisionError:
+            after_at.clear()
+            b_memo.clear()
+            d0 = _value(den, jet)
+            d1 = d0 and _value(den, after)
+            if not d1:
                 if attempt == retries:
-                    raise
+                    raise ZeroDivisionError("denominator vanished at every sample point")
                 continue
-            if before != after:
+            if _value(num, jet) * d1 % _P != _value(num, after) * d0 % _P:
                 return False
             break
     return True

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import gaugeinv.cli as cli
 from gaugeinv.cli import (
     EXIT_HYPOTHESIS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
@@ -146,6 +148,28 @@ def test_verify_division_by_zero_exits_1(tmp_path, capsys, expr):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.count("\n") == 1 and "identically-zero" in err
+
+
+def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: RuntimeError: broken command\n"
+
+
+def test_exhausted_oracle_retries_exit_4(tmp_path, capsys):
+    # Each instance is a polynomial of degree <= 3, so a fourth derivative
+    # vanishes at every sample point and the oracle gives up.
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["verify", path, "--expr", "1/a[1,0];[4,0]"])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: ZeroDivisionError: ") and err.count("\n") == 1
 
 
 def test_gauge_classical(tmp_path, capsys):

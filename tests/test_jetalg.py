@@ -149,16 +149,6 @@ def test_resolve_bindings_detects_cycles():
         resolve_bindings({x: ey, y: ex + ONE})
 
 
-def test_evaluate_exact():
-    vals = {
-        JetVariable(coeff_symbol((1, 0)), (0, 0)): Fraction(2, 3),
-        JetVariable(coeff_symbol((0, 1)), (0, 0)): Fraction(-1, 5),
-    }
-    e = (a(1, 0) + a(0, 1)) / a(1, 0)
-    got = e.evaluate(lambda v: vals[v])
-    assert got == (Fraction(2, 3) - Fraction(1, 5)) / Fraction(2, 3)
-
-
 def _coefficients(e):
     return list(e.num.terms.values()) + list(e.den.terms.values())
 

@@ -1,11 +1,28 @@
 """Tests for the Delta-calculus and the numeric oracle."""
 from __future__ import annotations
 
+import functools
+import gc
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from gaugeinv import jetalg, verify
 from gaugeinv.classify import analyze, phi
 from gaugeinv.grammar import parse_expr
-from gaugeinv.jetalg import JetExpr, ONE, ZERO, coeff_symbol, gauge_symbol
+from gaugeinv.invariants import complete_set
+from gaugeinv.jetalg import (
+    JetExpr,
+    ONE,
+    ZERO,
+    coeff_symbol,
+    gauge_symbol,
+    substitute,
+    symbol_key,
+)
 from gaugeinv.verify import (
     DEFAULT_SEED,
     DeltaContext,
@@ -126,3 +143,145 @@ def test_report_shape():
     rep2 = report(P("2*a[2,0];[1,0] - a[1,1];[0,1]"), ctx)
     assert rep2["invariant"] and rep2["numeric_check"]
     assert "residual" not in rep2
+
+
+# -- the oracle against a reference -------------------------------------
+#
+# The reference gauges symbolically: it substitutes E's gauge map, then
+# evaluates E and E' exactly over Fractions, on the same random instances
+# and points as numeric_spot_check draws.  Its verdicts must be the
+# oracle's, which gauges the operator numerically modulo a prime.
+
+ORACLE_CLASSES = ["xy", "xxy", "xxy_xyy", "x3", "xyz", "five_order_3d"]
+
+
+def _reference_instance(n, rng):
+    terms = {}
+    for m in itertools.product(range(4), repeat=n):
+        if sum(m) <= 3:
+            terms[m] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+    return terms
+
+
+def _reference_jet(terms, deriv, point):
+    total = Fraction(0)
+    for m, c in terms.items():
+        if all(d <= e for d, e in zip(deriv, m)):
+            for x, e, d in zip(point, m, deriv):
+                c *= math.perm(e, d) * x ** (e - d)
+            total += c
+    return total
+
+
+def _reference_value(p, jet):
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        for v, e in mono:
+            c *= jet(v) ** e
+        total += c
+    return total
+
+
+def reference_spot_check(E, ctx, seed=DEFAULT_SEED, points=3, retries=8):
+    n = ctx.spec.dimension
+    rng = random.Random(seed)
+    symbols = sorted(
+        ctx.operator.base_symbols()
+        | {s for e in ctx.gauge_map.values() for s in e.base_symbols()},
+        key=symbol_key,
+    )
+    instance = {s: _reference_instance(n, rng) for s in symbols}
+    Eg = substitute(E, ctx.gauge_map)
+    for _ in range(points):
+        for attempt in range(retries + 1):
+            point = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+                          for _ in range(n))
+            at = {}
+
+            def jet(v):
+                if v not in at:
+                    at[v] = _reference_jet(instance[v.base], v.deriv, point)
+                return at[v]
+
+            try:
+                before = _reference_value(E.num, jet) / _reference_value(E.den, jet)
+                after = _reference_value(Eg.num, jet) / _reference_value(Eg.den, jet)
+            except ZeroDivisionError:
+                if attempt == retries:
+                    raise
+                continue
+            if before != after:
+                return False
+            break
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _class_records(name):
+    spec = fx.ALL_CONSTRUCTIVE[name]()
+    return DeltaContext.for_class(spec), complete_set(spec)[0]
+
+
+def _upward_five_order_3d():
+    ctx, records = _class_records("five_order_3d")
+    return ctx, next(r.expression for r in records if r.kind == "upward")
+
+
+@pytest.mark.parametrize("name", ORACLE_CLASSES)
+def test_numeric_spot_check_matches_reference(name):
+    """Every record, and every record plus a non-maximal a_w (w in turn)."""
+    ctx, records = _class_records(name)
+    gauged = sorted(s.vector for s in ctx.gauge_map)
+    verdicts = []
+    for k, rec in enumerate(records):
+        a_w = JetExpr.symbol(coeff_symbol(gauged[k % len(gauged)]), dim=ctx.spec.dimension)
+        for E in (rec.expression, rec.expression + a_w):
+            got = numeric_spot_check(E, ctx)
+            assert got == reference_spot_check(E, ctx), rec.label
+            verdicts.append(got)
+    # Records are invariant, a record plus a lone a_w is not.
+    assert verdicts == [True, False] * len(records)
+
+
+def test_numeric_spot_check_gauges_the_operator_not_the_map():
+    ctx = DeltaContext.for_class(fx.spec_xxy())
+    s = coeff_symbol((1, 0))
+    a_w = JetExpr.symbol(s, dim=2)
+    tampered = DeltaContext(ctx.spec, ctx.operator, ctx.gauged,
+                            {**ctx.gauge_map, s: a_w})
+    assert is_invariant(a_w, tampered)[0]
+    assert not numeric_spot_check(a_w, tampered)
+
+
+class _KeysOnly(dict):
+    """A gauge map whose values cannot be read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the oracle read the gauge map's values")
+
+    __getitem__ = get = values = items = _refuse
+
+
+def test_numeric_spot_check_runs_without_substitution(monkeypatch):
+    ctx, E = _upward_five_order_3d()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the symbolic path")
+
+    for name in ("substitute", "gauge"):
+        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(jetalg, "substitute", refuse)
+    blind = DeltaContext(ctx.spec, ctx.operator, ctx.gauged, _KeysOnly(ctx.gauge_map))
+    assert numeric_spot_check(E, blind)
+    assert not numeric_spot_check(E + P("a[0,0,0]", 3), blind)
+
+
+def test_numeric_spot_check_leaves_no_reference_cycle():
+    ctx, E = _upward_five_order_3d()
+    gc.collect()
+    gc.disable()
+    try:
+        assert numeric_spot_check(E, ctx)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
