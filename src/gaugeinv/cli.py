@@ -47,7 +47,7 @@ from .invariants import (
     complete_set,
     upward_invariants_from_template,
 )
-from .jetalg import JetExpr, JetVariable, KIND_COEFF, KIND_GAUGE, Poly
+from .jetalg import JetExpr, JetVariable, KIND_COEFF, Poly
 from .opalg import DiffOperator, Factor, FactorTemplate, gauge
 from .verify import DEFAULT_SEED, DeltaContext, UnknownCoefficientError, report
 
@@ -72,9 +72,6 @@ def _latex_var(v: JetVariable, names: list[str]) -> str:
     if base.kind == KIND_COEFF:
         head = "a"
         sub = "".join(map(str, base.vector))
-    elif base.kind == KIND_GAUGE:
-        head = base.name
-        sub = ""
     else:
         head = base.name
         sub = ""

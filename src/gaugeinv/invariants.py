@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import jetalg
 from . import multiindex as mi
@@ -364,10 +364,6 @@ def _q_param(v: MultiIndex) -> BaseSymbol:
 
 def _cm_templates(analysis: ClassAnalysis) -> tuple[FactorTemplate, ...]:
     """The shifted-factor products of C_m, one per maximal vector."""
-    if not analysis.approximately_flat:
-        raise NotApproximatelyFlatError("class is not approximately flat")
-    if not analysis.framed:
-        raise NotFramedError("class is not framed")
     n = analysis.dimension
     preimage: dict[MultiIndex, set[MultiIndex]] = {}
     for v, m in _f_submax(analysis).items():
@@ -395,50 +391,19 @@ def _cm_templates(analysis: ClassAnalysis) -> tuple[FactorTemplate, ...]:
     return tuple(templates)
 
 
-def _solve_Cm(
-    analysis: ClassAnalysis,
-    expanded: DiffOperator,
-    adjust: Mapping[MultiIndex, int],
-) -> tuple[dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
-    """Parameter bindings and assumptions of C_m, given its expansion."""
-    n = analysis.dimension
-
-    def adjusted(v: MultiIndex) -> JetExpr:
-        a_v = JetExpr.symbol(coeff_symbol(v), dim=n)
-        k = adjust.get(v, 0)
-        return a_v - JetExpr.const(k) if k else a_v
-
-    # The c_i are fixed by the framing-set equations phi(v_i) . c = a_{v_i}.
-    matrix = [phi(analysis, s) for s in analysis.framing_set]
-    rhs = [adjusted(s) for s in analysis.framing_set]
-    c_values, assumptions = _gauss_solve(matrix, rhs)
-    bindings: dict[BaseSymbol, JetExpr] = {
-        _c_param(i + 1): c_values[i] for i in range(n)
-    }
-
-    # Each residual submaximal coefficient then determines its p_v.
-    for v in mi.sort_canonical(_f_submax(analysis)):
-        eq = substitute(expanded.coefficient(v), bindings) - adjusted(v)
-        value, pivot = _solve_param_linear(eq, _p_param(v))
-        bindings[_p_param(v)] = value
-        if not pivot.is_const():
-            assumptions.append(pivot)
-    return bindings, _dedupe(assumptions)
-
-
 def build_Cm(
-    analysis: ClassAnalysis, adjust: Mapping[MultiIndex, int] | None = None
+    analysis: ClassAnalysis,
 ) -> tuple[tuple[FactorTemplate, ...], dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
     """The class C_m zeroing all maximal and submaximal terms.
 
-    Returns (templates, parameter bindings, assumptions).  ``adjust`` maps
-    lattice vectors to integer counts subtracted from their coefficients
-    before solving (used when correction operators B_w contribute
-    principal symbols at submaximal vectors).
+    Returns (templates, parameter bindings, assumptions).  The c_i are read
+    off the gradient solution and each p_v zeroes the coefficient of
+    L - C_m at its residual submaximal vector v.  Raises
+    NotApproximatelyFlatError / NotFramedError as ``solve_gradient`` does.
     """
-    templates = _cm_templates(analysis)
-    bindings, assumptions = _solve_Cm(analysis, expand_sum(templates), adjust or {})
-    return templates, bindings, assumptions
+    parts = _GenericParts(solve_gradient(analysis))
+    bindings, assumptions = parts.solve(parts.L - parts.expanded)
+    return parts.templates, bindings, assumptions
 
 
 def _solve_param_linear(eq: JetExpr, param: BaseSymbol) -> tuple[JetExpr, JetExpr]:
@@ -464,12 +429,69 @@ def _solve_param_linear(eq: JetExpr, param: BaseSymbol) -> tuple[JetExpr, JetExp
     return -rest / coeff, coeff
 
 
+def _solve_targets(
+    D: DiffOperator,
+    targets: Iterable[MultiIndex],
+    params: set[BaseSymbol],
+    bindings: dict[BaseSymbol, JetExpr],
+) -> list[JetExpr]:
+    """Bind every parameter in params so that D vanishes at every target.
+
+    The pending targets are swept in order: a target whose coefficient in
+    D, under the bindings so far, holds exactly one unbound parameter binds
+    it by ``_solve_param_linear``; one holding none must vanish; one
+    holding several waits for a later sweep.  ``bindings`` grows in place
+    and the non-constant pivots are returned as assumptions.  Raises
+    SolveError when a target cannot be zeroed, when a sweep binds nothing,
+    or when a parameter is left undetermined.
+    """
+    assumptions: list[JetExpr] = []
+    pending = list(dict.fromkeys(targets))
+    while pending:
+        progress = False
+        for t in list(pending):
+            eq = substitute(D.coefficient(t), bindings)
+            present = {
+                s for s in eq.base_symbols() if s in params and s not in bindings
+            }
+            if len(present) > 1:
+                continue
+            if present:
+                (param,) = present
+                value, pivot = _solve_param_linear(eq, param)
+                bindings[param] = value
+                if not pivot.is_const():
+                    assumptions.append(pivot)
+            elif not eq.is_zero():
+                raise SolveError(
+                    f"target {t} cannot be zeroed: residual {print_expr(eq)}"
+                )
+            pending.remove(t)
+            progress = True
+        if not progress:
+            raise SolveError(
+                "stage not uniquely solvable; unresolved targets "
+                + ", ".join(map(str, pending))
+            )
+    unsolved = params - set(bindings)
+    if unsolved:
+        raise SolveError(
+            "stage leaves parameters undetermined: "
+            + ", ".join(sorted(s.text() for s in unsolved))
+        )
+    return assumptions
+
+
 class _GenericParts:
     """The operators of the generic construction that do not depend on the
-    interior vector, built once per call (each B_w on first use)."""
+    interior vector, built once per call (each B_w on first use) on the
+    gradient solution, off which every solve reads the c_i."""
 
-    def __init__(self, analysis: ClassAnalysis):
+    def __init__(self, sol: GradientSolution):
+        analysis = sol.analysis
+        self.sol = sol
         self.analysis = analysis
+        self.spec_params = _spec_params(analysis.spec)
         self.templates = _cm_templates(analysis)
         self.expanded = expand_sum(self.templates)
         self.L = class_operator(analysis.spec)
@@ -493,14 +515,34 @@ class _GenericParts:
             self.b_parts[w] = (t, expand_template(t))
         return self.b_parts[w]
 
-    def upward(self, v: MultiIndex) -> InvariantRecord:
-        analysis = self.analysis
-        W = [w for w in self.interior if mi.below(v, w)]
-        adjust: dict[MultiIndex, int] = {}
-        for w in W:
-            adjust[self.fint[w]] = adjust.get(self.fint[w], 0) + 1
-        bindings, assumptions = _solve_Cm(analysis, self.expanded, adjust)
+    def solve(
+        self, D: DiffOperator, W: Sequence[MultiIndex] = ()
+    ) -> tuple[dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
+        """Bindings and assumptions making D = L - C_m - sum of the B_w over
+        W vanish on the maximal and submaximal vectors and on W.
 
+        The c_i solve phi(v_i) . c = (L - sum of B_w)_{v_i}, the gradient
+        system with another right-hand side, so they are read off the
+        gradient solution; ``_solve_targets`` then forces the p_v of the
+        residual submaximal vectors and the q_w.
+        """
+        sol = self.sol
+        rhs = {}
+        for s in sol.chosen:
+            c = self.L.coefficient(s)
+            for w in W:
+                c = c - self.b_part(w)[1].coefficient(s)
+            rhs[delta_symbol(s)] = c
+        bindings = {
+            _c_param(i + 1): substitute(g, rhs) for i, g in enumerate(sol.gradient)
+        }
+        params = {_p_param(u) for u in sol.residual_vectors}
+        params |= {_q_param(w) for w in W}
+        pivots = _solve_targets(D, sol.residual_vectors + tuple(W), params, bindings)
+        return bindings, _dedupe(sol.assumptions + tuple(pivots))
+
+    def upward(self, v: MultiIndex) -> InvariantRecord:
+        W = [w for w in self.interior if mi.below(v, w)]
         # C is the C_m sum, then each B_w in W's order; that order fixes
         # the term order of C and so of every record.
         b_templates = []
@@ -510,22 +552,14 @@ class _GenericParts:
             b_templates.append(t)
             C = C + op
         D = self.L - C
-
-        # q_w solves, decreasing graded order with lexicographic tie-break.
-        for w in W:
-            eq = substitute(D.coefficient(w), bindings)
-            value, pivot = _solve_param_linear(eq, _q_param(w))
-            bindings[_q_param(w)] = value
-            if not pivot.is_const():
-                assumptions = assumptions + (pivot,)
-
+        bindings, assumptions = self.solve(D, W)
         expr = substitute(D.coefficient(v), bindings)
-        _check_no_solver_params(expr, f"I_{{{_vec_tag(v)}}}", _spec_params(analysis.spec))
+        _check_no_solver_params(expr, f"I_{{{_vec_tag(v)}}}", self.spec_params)
         return InvariantRecord(
             "upward",
             f"I_{{{_vec_tag(v)}}}",
             expr,
-            _dedupe(assumptions),
+            assumptions,
             target_vector=v,
             representation=Representation(self.templates + tuple(b_templates), bindings),
         )
@@ -538,16 +572,17 @@ def upward_invariant_generic(
 
     Forms C = C_m + sum of B_w over interior w strictly above v, where
     B_w = (d_{x_j} + q_w) prod_i (d_{x_i} + c_i)^{w(i)} and f(w) = w + e_j
-    is the lexicographically smallest non-maximal cover of w.  The c_i and
-    p_u are solved against L' = L - sum of d^{f(w)}; the q_w are then
-    forced one at a time in decreasing graded-lexicographic order.  The
-    operators built here do not depend on v; ``complete_set`` builds them
-    once for all interior vectors and gives the same record for each.
+    is the lexicographically smallest non-maximal cover of w.  The c_i are
+    read off the gradient solution; the p_u and then the q_w are forced
+    one at a time so that L - C vanishes on the maximal and submaximal
+    vectors and on each such w.  The operators built here do not depend on v;
+    ``complete_set`` builds them once for all interior vectors and gives
+    the same record for each.
     """
     v = tuple(v)
     if v not in analysis.interior_set:
         raise ValueError(f"{v} is not an interior vector")
-    return _GenericParts(analysis).upward(v)
+    return _GenericParts(solve_gradient(analysis)).upward(v)
 
 
 # ---------------------------------------------------------------------------
@@ -670,43 +705,7 @@ def upward_invariants_from_template(
         D = L - C
         params = _template_params(cumulative, spec_params)
         bindings: dict[BaseSymbol, JetExpr] = {}
-        assumptions: list[JetExpr] = []
-        pending = list(dict.fromkeys(targets))
-        progress = True
-        while pending and progress:
-            progress = False
-            for t in list(pending):
-                eq = substitute(D.coefficient(t), bindings)
-                present = {
-                    s for s in eq.base_symbols() if s in params and s not in bindings
-                }
-                if not present:
-                    if eq.is_zero():
-                        pending.remove(t)
-                        progress = True
-                        continue
-                    raise SolveError(
-                        f"target {t} cannot be zeroed: residual {print_expr(eq)}"
-                    )
-                if len(present) == 1:
-                    param = next(iter(present))
-                    value, pivot = _solve_param_linear(eq, param)
-                    bindings[param] = value
-                    if not pivot.is_const():
-                        assumptions.append(pivot)
-                    pending.remove(t)
-                    progress = True
-        if pending:
-            raise SolveError(
-                "stage not uniquely solvable; unresolved targets "
-                + ", ".join(map(str, pending))
-            )
-        unsolved = params - set(bindings)
-        if unsolved:
-            raise SolveError(
-                "stage leaves parameters undetermined: "
-                + ", ".join(sorted(s.text() for s in unsolved))
-            )
+        assumptions = _solve_targets(D, targets, params, bindings)
         N_terms = {
             u: substitute(c, bindings) for u, c in D.terms.items()
         }
@@ -884,7 +883,7 @@ def complete_set(spec: ClassSpec) -> tuple[list[InvariantRecord], dict]:
     records += extra_invariants(sol)
     records += compatibility_invariants(sol)
     if an.interior_set:
-        parts = _GenericParts(an)
+        parts = _GenericParts(sol)
         records += [parts.upward(v) for v in parts.interior]
     n = spec.dimension
     s = len(an.submaximal_set)

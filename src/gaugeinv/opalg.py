@@ -64,9 +64,6 @@ class DiffOperator:
     def support(self) -> set[MultiIndex]:
         return set(self.terms)
 
-    def order(self) -> int:
-        return max((mi.order(v) for v in self.terms), default=0)
-
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"{self.dim} vs {other.dim}")

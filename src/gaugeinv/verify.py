@@ -31,6 +31,7 @@ from .jetalg import (
     JetVariable,
     KIND_COEFF,
     KIND_GAUGE,
+    KIND_PARAM,
     coeff_symbol,
     gauge_symbol,
     substitute,
@@ -42,7 +43,7 @@ DEFAULT_SEED = 1729
 
 
 class UnknownCoefficientError(ValueError):
-    """Expression references a coefficient outside the class lattice."""
+    """Expression references a coefficient or a parameter the class lacks."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class DeltaContext:
     def _check(self, E: JetExpr) -> None:
         known = {s.vector for s in self.gauge_map}
         known.update(v for v, _ in self.spec.maximal_terms)
+        params = {s for _, c in self.spec.maximal_terms for s in c.base_symbols()}
         for s in E.base_symbols():
             if s.kind == KIND_GAUGE:
                 raise ValueError("expression already contains the gauge symbol")
@@ -77,6 +79,8 @@ class DeltaContext:
                 raise UnknownCoefficientError(
                     f"coefficient a_{s.vector} is not in the class lattice"
                 )
+            if s.kind == KIND_PARAM and s not in params:
+                raise UnknownCoefficientError(f"parameter {s.text()} is not in the class")
 
 
 def delta(E: JetExpr, ctx: DeltaContext) -> JetExpr:
@@ -202,11 +206,12 @@ def numeric_spot_check(
 ) -> bool:
     """Compare E on random polynomial coefficients before and after gauging.
 
-    Every free symbol of the class (the non-maximal lattice coefficients,
-    the symbolic maximal coefficients, and g) becomes a random polynomial
-    in x_1..x_n of total degree <= 3 with small rational coefficients.  At
-    a random rational point, E is evaluated once on the jets of those
-    polynomials and once on the jets of the gauged coefficients.  The
+    Every free symbol of the class and of E (the non-maximal lattice
+    coefficients, the maximal ones that are symbolic or in E, and g)
+    becomes a random polynomial in x_1..x_n of total degree <= 3 with
+    small rational coefficients.  At a random rational point, E is
+    evaluated once on the jets of those polynomials and once on the jets
+    of the gauged coefficients.  The
     gauged jets come from the concrete operator itself, by Leibniz:
 
         d^alpha a'_w = sum_{v >= w} C(v, w) sum_{beta <= alpha} C(alpha, beta)
@@ -237,8 +242,8 @@ def numeric_spot_check(
     maximal = {v for v, _ in ctx.spec.maximal_terms}
     gauged = L.support() - maximal
     g = gauge_symbol()
-    # The symbols of L and L'; g occurs in L' when any coefficient is gauged.
-    symbols = L.base_symbols() | ({g} if gauged else set())
+    # The symbols of L, L' and E; g occurs in L' when any coefficient is gauged.
+    symbols = L.base_symbols() | E.base_symbols() | ({g} if gauged else set())
     instance = {s: _RatPoly.random(n, rng) for s in sorted(symbols, key=symbol_key)}
     # The coefficient of each d^v: a residue when constant, else the jet
     # variable of its single symbol.

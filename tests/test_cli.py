@@ -150,6 +150,24 @@ def test_verify_division_by_zero_exits_1(tmp_path, capsys, expr):
     assert err.count("\n") == 1 and "identically-zero" in err
 
 
+def test_verify_unknown_parameter_exits_2(tmp_path, capsys):
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["verify", path, "--expr", "q"])
+    assert code == EXIT_HYPOTHESIS
+    assert out == ""
+    assert err == "error: parameter q is not in the class\n"
+
+
+def test_verify_maximal_coefficient_reports(tmp_path, capsys):
+    # a[2,1] is the maximal coefficient, the constant 1 in the class; Delta
+    # leaves it as it is, and the oracle draws it like any other symbol.
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, _ = run(capsys, ["verify", path, "--expr", "a[2,1]"])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["invariant"] and data["numeric_check"]
+
+
 def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("broken command")

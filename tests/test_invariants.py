@@ -29,6 +29,7 @@ from gaugeinv.invariants import (
     upward_invariants_from_template,
     x3_strict_upward,
     _solve_param_linear,
+    _solve_targets,
 )
 from gaugeinv.jetalg import JetExpr, ONE, ZERO, param_symbol, proportional, substitute
 from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, expand_sum
@@ -290,6 +291,44 @@ def test_solve_param_linear_rejects_absent_parameter():
 def test_solve_param_linear_rejects_parameter_in_denominator():
     with pytest.raises(SolveError):
         _solve_param_linear(P("a[1,0] - 1/p"), param_symbol("p"))
+
+
+def test_solve_targets_defers_a_target_with_two_parameters():
+    # (1,0) holds p and q; it waits until (0,1) has bound q.
+    p, q = param_symbol("p"), param_symbol("q")
+    D = DiffOperator(2, {(1, 0): P("p + q"), (0, 1): P("q - a[0,1]")})
+    bindings = {}
+    assumptions = _solve_targets(D, [(1, 0), (0, 1)], {p, q}, bindings)
+    assert bindings == {q: P("a[0,1]"), p: P("-a[0,1]")}
+    assert assumptions == []
+    for t in D.terms:
+        assert substitute(D.coefficient(t), bindings).is_zero()
+
+
+def test_solve_targets_rejects_residual_without_parameter():
+    D = DiffOperator(2, {(1, 0): P("a[1,0]")})
+    with pytest.raises(SolveError, match="cannot be zeroed"):
+        _solve_targets(D, [(1, 0)], {param_symbol("p")}, {})
+
+
+def test_solve_targets_rejects_undetermined_parameter():
+    p, q = param_symbol("p"), param_symbol("q")
+    D = DiffOperator(2, {(1, 0): P("p - a[1,0]")})
+    with pytest.raises(SolveError, match="undetermined: q"):
+        _solve_targets(D, [(1, 0)], {p, q}, {})
+
+
+def test_generic_constructions_raise_on_bad_hypotheses():
+    for make, error in (
+        (fx.spec_not_framed, NotFramedError),
+        (fx.spec_not_flat_a, NotApproximatelyFlatError),
+    ):
+        an = analyze(make())
+        assert (0, 0) in an.interior_set
+        with pytest.raises(error):
+            upward_invariant_generic(an, (0, 0))
+        with pytest.raises(error):
+            build_Cm(an)
 
 
 # ---------------------------------------------------------------------------
