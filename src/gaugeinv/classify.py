@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import multiindex as mi
 from .grammar import parse_expr, print_expr
-from .jetalg import JetExpr, coeff_symbol
+from .jetalg import BaseSymbol, JetExpr, KIND_PARAM, coeff_symbol
 from .multiindex import MultiIndex
 
 
@@ -60,6 +60,14 @@ class ClassSpec:
                 raise ClassSpecError(
                     f"coefficient of {v} must be a nonzero constant or a single symbol"
                 )
+
+    @property
+    def parameters(self) -> frozenset[BaseSymbol]:
+        """The named parameters among the maximal coefficients (p, q, ...)."""
+        return frozenset(
+            s for _, c in self.maximal_terms for s in c.base_symbols()
+            if s.kind == KIND_PARAM
+        )
 
     def maximal_vectors(self) -> list[MultiIndex]:
         return mi.sort_canonical(v for v, _ in self.maximal_terms)

@@ -35,11 +35,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import multiindex as mi
 from .classify import ClassSpec, ClassSpecError, analyze
-from .grammar import ExprParseError, parse_expr, print_expr
+from .grammar import ExprParseError, parse_expr, write_poly
 from .invariants import (
     HypothesisError,
     SolveError,
@@ -79,37 +78,14 @@ def _latex_var(v: JetVariable, names: list[str]) -> str:
     return f"{head}_{{{sub}}}" if sub else head
 
 
-def _latex_frac(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c.numerator < 0 else ""
-    return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-
-
 def _latex_poly(p: Poly, names: list[str]) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for mono, c in p.sorted_terms():
-        body = " ".join(
-            _latex_var(v, names) + (f"^{{{e}}}" if e > 1 else "")
-            for v, e in mono
-        )
-        if not body:
-            text = _latex_frac(c)
-        elif c == 1:
-            text = body
-        elif c == -1:
-            text = "-" + body
-        else:
-            text = _latex_frac(c) + " " + body
-        if parts and not text.startswith("-"):
-            parts.append("+ " + text)
-        elif parts:
-            parts.append("- " + text.lstrip("-"))
-        else:
-            parts.append(text)
-    return " ".join(parts)
+    return write_poly(
+        p,
+        lambda v, e: _latex_var(v, names) + (f"^{{{e}}}" if e > 1 else ""),
+        lambda c: (str(c.numerator) if c.denominator == 1
+                   else f"\\frac{{{c.numerator}}}{{{c.denominator}}}"),
+        " ",
+    )
 
 
 def latex_expr(e: JetExpr, dim: int | None = None) -> str:
@@ -214,10 +190,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_invariants(args) -> int:
     spec = ClassSpec.load(args.spec)
-    an = analyze(spec)
     if args.templates:
         stages, targets, closure = load_templates(args.templates, spec.dimension)
-        records = upward_invariants_from_template(an, stages, targets, closure)
+        records = upward_invariants_from_template(analyze(spec), stages, targets, closure)
         audit = {"upward": len(records)}
     else:
         records, audit = complete_set(spec)

@@ -11,7 +11,6 @@ reproducible and ``parse_expr(print_expr(e)) == e`` exactly.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .jetalg import (
     JetExpr,
@@ -162,33 +161,37 @@ def parse_expr(text: str, dim: int | None = None) -> JetExpr:
     return e
 
 
-def _print_frac(c: Fraction) -> str:
+def write_poly(p: Poly, power, frac, times: str) -> str:
+    """p in the canonical term order, with the signs between the terms.
+
+    ``power(v, e)`` spells a variable to a positive power, ``frac(c)`` a
+    positive rational, and ``times`` joins the factors of one term; a unit
+    coefficient is written only on the constant term.
+    """
+    if p.is_zero():
+        return "0"
+    out = ""
+    for mono, c in p.sorted_terms():
+        size = abs(c)
+        factors = [frac(size)] if size != 1 or not mono else []
+        term = times.join(factors + [power(v, e) for v, e in mono])
+        if out:
+            out += (" + " if c > 0 else " - ") + term
+        else:
+            out = term if c > 0 else "-" + term
+    return out
+
+
+def _text_power(v: JetVariable, e: int) -> str:
+    return v.text() if e == 1 else f"{v.text()}^{e}"
+
+
+def _text_frac(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _print_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for mono, c in p.sorted_terms():
-        factors = []
-        if not mono:
-            factors.append(_print_frac(abs(c)))
-        else:
-            if abs(c) != 1:
-                factors.append(_print_frac(abs(c)))
-            for v, e in mono:
-                factors.append(v.text() if e == 1 else f"{v.text()}^{e}")
-        term = "*".join(factors)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append((" + " if c > 0 else " - ") + term)
-    return "".join(parts)
-
-
 def print_expr(e: JetExpr) -> str:
-    num = _print_poly(e.num)
+    num = write_poly(e.num, _text_power, _text_frac, "*")
     if e.den.is_const():
         return num
-    return f"({num})/({_print_poly(e.den)})"
+    return f"({num})/({write_poly(e.den, _text_power, _text_frac, '*')})"

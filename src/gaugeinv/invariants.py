@@ -131,30 +131,38 @@ class InvariantRecord:
         return out
 
 
-# Parameters appearing in a ClassSpec (symbolic maximal coefficients such
-# as p, q in the five-order 3D class) are legitimate constituents of
-# invariants; solver parameters are not, and must never leak into records.
+# The parameters of a class (symbolic maximal coefficients such as p, q
+# in the five-order 3D class) are legitimate constituents of invariants;
+# solver parameters are not, and must never leak into records.
 
 
-def _spec_params(spec: ClassSpec) -> frozenset[BaseSymbol]:
-    out: set[BaseSymbol] = set()
-    for _, c in spec.maximal_terms:
-        out |= {s for s in c.base_symbols() if s.kind == KIND_PARAM}
-    return frozenset(out)
-
-
-def _check_no_solver_params(
-    expr: JetExpr, label: str, allowed: frozenset[BaseSymbol]
-) -> None:
-    bad = {
+def _solver_params(expr: JetExpr, class_params: frozenset[BaseSymbol]) -> set[BaseSymbol]:
+    """The parameters of expr that are not parameters of the class."""
+    return {
         s for s in expr.base_symbols()
-        if s.kind == KIND_PARAM and s not in allowed
+        if s.kind == KIND_PARAM and s not in class_params
     }
+
+
+def _upward_record(
+    v: MultiIndex,
+    expr: JetExpr,
+    assumptions: tuple[JetExpr, ...],
+    rep: Representation,
+    class_params: frozenset[BaseSymbol],
+) -> InvariantRecord:
+    """The upward record a_v - E at v; raises SolveError when a solver
+    parameter is left in expr."""
+    label = f"I_{{{_vec_tag(v)}}}"
+    bad = _solver_params(expr, class_params)
     if bad:
         raise SolveError(
             f"invariant {label} contains unresolved parameters: "
             + ", ".join(sorted(b.text() for b in bad))
         )
+    return InvariantRecord(
+        "upward", label, expr, assumptions, target_vector=v, representation=rep
+    )
 
 
 @dataclass(frozen=True)
@@ -328,26 +336,13 @@ def compatibility_invariants(sol: GradientSolution) -> list[InvariantRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _f_submax(analysis: ClassAnalysis) -> dict[MultiIndex, MultiIndex]:
-    """f : S' -> M, each residual submaximal to its lexicographically
-    smallest covering maximal vector."""
-    out = {}
-    framing = set(analysis.framing_set or ())
-    for v in analysis.submaximal_set - framing:
-        covering = sorted(m for m in analysis.maximal_set if mi.covers(m, v))
-        out[v] = covering[0]
-    return out
-
-
-def _f_interior(analysis: ClassAnalysis) -> dict[MultiIndex, MultiIndex]:
-    """f : V -> lattice, each interior vector to its lexicographically
-    smallest non-maximal covering vector (one always exists)."""
-    out = {}
-    non_max = analysis.all_vectors - analysis.maximal_set
-    for v in analysis.interior_set:
-        covering = sorted(u for u in non_max if mi.covers(u, v))
-        out[v] = covering[0]
-    return out
+def _least_cover(
+    vectors: Iterable[MultiIndex], above: frozenset[MultiIndex]
+) -> dict[MultiIndex, MultiIndex]:
+    """Each vector to the lexicographically smallest vector of ``above``
+    that covers it: the map f : S' -> M on the residual submaximal vectors,
+    and f : V -> lattice on the interior ones with the non-maximal above."""
+    return {v: min(u for u in above if mi.covers(u, v)) for v in vectors}
 
 
 def _c_param(i: int) -> BaseSymbol:
@@ -362,31 +357,30 @@ def _q_param(v: MultiIndex) -> BaseSymbol:
     return param_symbol("q" + "_".join(map(str, v)))
 
 
+def _c_factors(n: int, counts: Sequence[int]) -> list[Factor]:
+    """prod_i (d_{x_i} + c_i)^{counts(i)}, as its first-order factors."""
+    factors = []
+    for i in range(1, n + 1):
+        ci = JetExpr.symbol(_c_param(i), dim=n)
+        factors.extend([Factor.single(mi.unit(n, i), ci)] * counts[i - 1])
+    return factors
+
+
 def _cm_templates(analysis: ClassAnalysis) -> tuple[FactorTemplate, ...]:
     """The shifted-factor products of C_m, one per maximal vector."""
     n = analysis.dimension
-    preimage: dict[MultiIndex, set[MultiIndex]] = {}
-    for v, m in _f_submax(analysis).items():
-        preimage.setdefault(m, set()).add(v)
-
+    residual = analysis.submaximal_set - set(analysis.framing_set or ())
+    f = _least_cover(residual, analysis.maximal_set)
     templates = []
     for m in mi.sort_canonical(analysis.maximal_set):
-        S_m = [
-            i for i in range(1, n + 1)
-            if tuple(a - b for a, b in zip(m, mi.unit(n, i))) in preimage.get(m, ())
+        lower = {i: tuple(a - b for a, b in zip(m, mi.unit(n, i))) for i in range(1, n + 1)}
+        # S_m: the directions i with m - e_i residual and f(m - e_i) = m
+        S_m = [i for i, v in lower.items() if f.get(v) == m]
+        factors = _c_factors(n, [k - (i in S_m) for i, k in enumerate(m, start=1)])
+        factors += [
+            Factor.single(mi.unit(n, i), JetExpr.symbol(_p_param(lower[i]), dim=n))
+            for i in S_m
         ]
-        u_m = list(m)
-        for i in S_m:
-            u_m[i - 1] -= 1
-        factors = []
-        for i in range(1, n + 1):
-            ci = JetExpr.symbol(_c_param(i), dim=n)
-            factors.extend([Factor.single(mi.unit(n, i), ci)] * u_m[i - 1])
-        for i in S_m:
-            pv = tuple(a - b for a, b in zip(m, mi.unit(n, i)))
-            factors.append(
-                Factor.single(mi.unit(n, i), JetExpr.symbol(_p_param(pv), dim=n))
-            )
         templates.append(FactorTemplate(n, tuple(factors), analysis.spec.coefficient(m)))
     return tuple(templates)
 
@@ -491,11 +485,12 @@ class _GenericParts:
         analysis = sol.analysis
         self.sol = sol
         self.analysis = analysis
-        self.spec_params = _spec_params(analysis.spec)
         self.templates = _cm_templates(analysis)
         self.expanded = expand_sum(self.templates)
         self.L = class_operator(analysis.spec)
-        self.fint = _f_interior(analysis)
+        self.fint = _least_cover(
+            analysis.interior_set, analysis.all_vectors - analysis.maximal_set
+        )
         self.interior = mi.sort_canonical(analysis.interior_set)
         self.b_parts: dict[MultiIndex, tuple[FactorTemplate, DiffOperator]] = {}
 
@@ -507,11 +502,8 @@ class _GenericParts:
                 i for i in range(1, n + 1)
                 if mi.add(w, mi.unit(n, i)) == self.fint[w]
             )
-            factors = [Factor.single(mi.unit(n, j), JetExpr.symbol(_q_param(w), dim=n))]
-            for i in range(1, n + 1):
-                ci = JetExpr.symbol(_c_param(i), dim=n)
-                factors.extend([Factor.single(mi.unit(n, i), ci)] * w[i - 1])
-            t = FactorTemplate(n, tuple(factors))
+            qw = Factor.single(mi.unit(n, j), JetExpr.symbol(_q_param(w), dim=n))
+            t = FactorTemplate(n, (qw, *_c_factors(n, w)))
             self.b_parts[w] = (t, expand_template(t))
         return self.b_parts[w]
 
@@ -553,15 +545,12 @@ class _GenericParts:
             C = C + op
         D = self.L - C
         bindings, assumptions = self.solve(D, W)
-        expr = substitute(D.coefficient(v), bindings)
-        _check_no_solver_params(expr, f"I_{{{_vec_tag(v)}}}", self.spec_params)
-        return InvariantRecord(
-            "upward",
-            f"I_{{{_vec_tag(v)}}}",
-            expr,
+        return _upward_record(
+            v,
+            substitute(D.coefficient(v), bindings),
             assumptions,
-            target_vector=v,
-            representation=Representation(self.templates + tuple(b_templates), bindings),
+            Representation(self.templates + tuple(b_templates), bindings),
+            self.analysis.spec.parameters,
         )
 
 
@@ -590,24 +579,10 @@ def upward_invariant_generic(
 # ---------------------------------------------------------------------------
 
 
-def _template_params(
-    templates: Iterable[FactorTemplate],
-    spec_params: frozenset[BaseSymbol] = frozenset(),
-) -> set[BaseSymbol]:
-    out: set[BaseSymbol] = set()
-    for t in templates:
-        for f in t.factors:
-            out |= {
-                s for s in f.shift.base_symbols()
-                if s.kind == KIND_PARAM and s not in spec_params
-            }
-    return out
-
-
 def check_gauge_closure(
     templates: Sequence[FactorTemplate],
     maximal: frozenset[MultiIndex] | set[MultiIndex] | None = None,
-    spec_params: frozenset[BaseSymbol] = frozenset(),
+    class_params: frozenset[BaseSymbol] = frozenset(),
 ) -> None:
     """Verify the template family is closed under gauge transformations.
 
@@ -631,10 +606,8 @@ def check_gauge_closure(
                 raise TemplateNotClosedError(
                     f"prefactor coefficient {s.text()} is not gauge invariant"
                 )
-            if s.kind == KIND_PARAM and s not in spec_params:
-                raise TemplateNotClosedError(
-                    "prefactor contains a solver parameter"
-                )
+        if _solver_params(t.prefactor, class_params):
+            raise TemplateNotClosedError("prefactor contains a solver parameter")
         for f in t.factors:
             if any(mi.order(w) != 1 for w in f.powers):
                 raise TemplateNotClosedError(
@@ -643,10 +616,7 @@ def check_gauge_closure(
             increment = ZERO
             for w in f.powers:
                 increment = increment + JetExpr(Poly.var(JetVariable(g, w)))
-            params = {
-                s for s in f.shift.base_symbols()
-                if s.kind == KIND_PARAM and s not in spec_params
-            }
+            params = _solver_params(f.shift, class_params)
             if not params:
                 raise TemplateNotClosedError(
                     f"factor shift {print_expr(f.shift)} has no solver "
@@ -690,7 +660,7 @@ def upward_invariants_from_template(
     """
     if len(stages) != len(stage_targets):
         raise ValueError("stages and stage_targets must have equal length")
-    spec_params = _spec_params(analysis.spec)
+    class_params = analysis.spec.parameters
     L = class_operator(analysis.spec)
     records: list[InvariantRecord] = []
     emitted: set[MultiIndex] = set()
@@ -700,33 +670,26 @@ def upward_invariants_from_template(
         cumulative.extend(stage_templates)
         targets.extend(tuple(t) for t in new_targets)
         if check_closure:
-            check_gauge_closure(cumulative, analysis.maximal_set, spec_params)
+            check_gauge_closure(cumulative, analysis.maximal_set, class_params)
         C = expand_sum(cumulative)
         D = L - C
-        params = _template_params(cumulative, spec_params)
+        params = {
+            s for t in cumulative for f in t.factors
+            for s in _solver_params(f.shift, class_params)
+        }
         bindings: dict[BaseSymbol, JetExpr] = {}
-        assumptions = _solve_targets(D, targets, params, bindings)
+        assumptions = _dedupe(_solve_targets(D, targets, params, bindings))
         N_terms = {
             u: substitute(c, bindings) for u, c in D.terms.items()
         }
         support = {u for u, c in N_terms.items() if not c.is_zero()}
         rep = Representation(tuple(cumulative), dict(bindings))
         for u in mi.sort_canonical(mi.maximal_elements(support)):
-            if u in emitted:
-                continue
-            emitted.add(u)
-            label = f"I_{{{_vec_tag(u)}}}"
-            _check_no_solver_params(N_terms[u], label, spec_params)
-            records.append(
-                InvariantRecord(
-                    "upward",
-                    label,
-                    N_terms[u],
-                    _dedupe(assumptions),
-                    target_vector=u,
-                    representation=rep,
+            if u not in emitted:
+                emitted.add(u)
+                records.append(
+                    _upward_record(u, N_terms[u], assumptions, rep, class_params)
                 )
-            )
     return records
 
 
@@ -801,63 +764,6 @@ def hyperbolic_templates_3d() -> tuple[list[list[FactorTemplate]], list[list[Mul
     targets1 = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     targets2 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return [stage1, stage2], [targets1, targets2]
-
-
-def symmetric_bottom_invariant_3d() -> InvariantRecord:
-    """The symmetric form of I_000 for the 3D hyperbolic class.
-
-    Combines the template I_000 with compatibility and first-level upward
-    invariants:
-    I_000 + I_cxz - (1/3)(I_cxz)_y - (1/3)(I_cyz)_x - I_100 - I_010 - I_001 - 1.
-    """
-    spec = ClassSpec(3, (((1, 1, 1), ONE),))
-    an = analyze(spec)
-    sol = solve_gradient(an)
-    compat = {r.label: r.expression for r in compatibility_invariants(sol)}
-    stages, targets = hyperbolic_templates_3d()
-    ups = {
-        tuple(r.target_vector): r.expression
-        for r in upward_invariants_from_template(an, stages, targets)
-    }
-    i_cxz = compat["I_c(x,z)"]
-    i_cyz = compat["I_c(y,z)"]
-    expr = (
-        ups[(0, 0, 0)]
-        + i_cxz
-        - i_cxz.derive(2, 3).scale(Fraction(1, 3))
-        - i_cyz.derive(1, 3).scale(Fraction(1, 3))
-        - ups[(1, 0, 0)]
-        - ups[(0, 1, 0)]
-        - ups[(0, 0, 1)]
-        - ONE
-    )
-    return InvariantRecord("upward", "I_{000}^sym", expr, target_vector=(0, 0, 0))
-
-
-def x3_strict_upward(
-    i_10: InvariantRecord, i_01: InvariantRecord
-) -> tuple[InvariantRecord, InvariantRecord]:
-    """The manipulated combinations proposed for the X^3 class.
-
-    Given the template invariants I_10 and I_01 for the class generated by
-    {d_xxx, a_11 d_xy, a_02 d_yy}, forms
-    (I_10 + a_11 I_01)/(1 - 2 a_11 a_02) and
-    (I_01 + 2 a_02 I_10)/(1 - 2 a_11 a_02),
-    recording 1 - 2 a_11 a_02 as an assumption.  (The two inputs are in
-    fact proportional, so these combinations coincide with the inputs.)
-    """
-    a11 = JetExpr.symbol(coeff_symbol((1, 1)), dim=2)
-    a02 = JetExpr.symbol(coeff_symbol((0, 2)), dim=2)
-    denom = ONE - a11 * a02.scale(2)
-    first = (i_10.expression + a11 * i_01.expression) / denom
-    second = (i_01.expression + a02.scale(2) * i_10.expression) / denom
-    assumptions = _dedupe(
-        list(i_10.assumptions) + list(i_01.assumptions) + [denom]
-    )
-    return (
-        InvariantRecord("upward", "I_{10}*", first, assumptions, target_vector=(1, 0)),
-        InvariantRecord("upward", "I_{01}*", second, assumptions, target_vector=(0, 1)),
-    )
 
 
 # ---------------------------------------------------------------------------

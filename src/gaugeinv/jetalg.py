@@ -221,15 +221,20 @@ class Poly:
 
     def derive(self, i: int, dim: int) -> "Poly":
         """Formal partial derivative d_i, 1-based."""
-        out = Poly()
+        out: dict[Mono, int | Fraction] = {}
         ei = unit(dim, i)
         for mono, c in self.terms.items():
             for idx, (v, e) in enumerate(mono):
                 dv = JetVariable(v.base, mi_add(v.deriv, ei))
-                rest = list(mono[:idx]) + ([(v, e - 1)] if e > 1 else []) + list(mono[idx + 1:])
-                base = tuple(sorted(rest, key=lambda p: _var_key(p[0])))
-                out = out + Poly({_mono_mul(base, ((dv, 1),)): _exact(c * e)})
-        return out
+                # dropping or lowering one factor keeps the rest sorted
+                lower = ((v, e - 1),) if e > 1 else ()
+                m = _mono_mul(mono[:idx] + lower + mono[idx + 1:], ((dv, 1),))
+                s = out.get(m, 0) + c * e
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
+        return Poly(_settle(out))
 
     def variables(self) -> set[JetVariable]:
         return {v for m in self.terms for v, _ in m}
@@ -282,18 +287,19 @@ class JetExpr:
         if num.is_zero():
             self.num, self.den = Poly(), _ONE_POLY
             return
+        if den is not _ONE_POLY and not den.is_const():
+            content = _mono_content([num, den])
+            if content:
+                num = _mono_divide(num, content)
+                den = _mono_divide(den, content)
         if den is _ONE_POLY:
             pass
-        elif den.is_const():
+        elif den.is_const():  # given so, or left so by the cancellation
             c = den.terms[_ONE_MONO]
             if c != 1:
                 num = num.scale(_inverse(c))
             den = _ONE_POLY
         else:
-            content = _mono_content([num, den])
-            if content:
-                num = _mono_divide(num, content)
-                den = _mono_divide(den, content)
             _, lead = den.leading()
             if lead != 1:
                 inv = _inverse(lead)
@@ -319,7 +325,7 @@ class JetExpr:
         return self.num.is_zero()
 
     def is_const(self) -> bool:
-        return self.den is _ONE_POLY and self.num.is_const() or (self.num.is_const() and self.den.is_const())
+        return self.den is _ONE_POLY and self.num.is_const()
 
     def const_value(self) -> Fraction:
         return self.num.const_value() / self.den.const_value()
@@ -346,11 +352,11 @@ class JetExpr:
 
     def __pow__(self, k: int) -> "JetExpr":
         if k < 0:
-            return JetExpr.const(1) / self ** (-k)
-        out = JetExpr.const(1)
-        for _ in range(k):
+            return ONE / self ** (-k)
+        out = self
+        for _ in range(k - 1):
             out = out * self
-        return out
+        return out if k else ONE
 
     def scale(self, c) -> "JetExpr":
         return JetExpr(self.num.scale(c), self.den)

@@ -172,20 +172,13 @@ def gauge(L: DiffOperator, gauge_name: str = "g") -> DiffOperator:
     for i in range(1, dim + 1):
         gx = JetExpr(Poly.var(JetVariable(gsym, mi.unit(dim, i))))
         shifted.append(DiffOperator(dim, {mi.unit(dim, i): ONE, (0,) * dim: gx}))
-    cache: dict[MultiIndex, DiffOperator] = {}
-
-    def power_product(v: MultiIndex) -> DiffOperator:
-        if v not in cache:
-            out = DiffOperator.identity(dim)
-            for i, k in enumerate(v):
-                for _ in range(k):
-                    out = op_mul(out, shifted[i])
-            cache[v] = out
-        return cache[v]
-
     total = DiffOperator.zero(dim)
     for v, c in L.terms.items():
-        total = total + power_product(v).left_scale(c)
+        product = DiffOperator.identity(dim)
+        for i, k in enumerate(v):
+            for _ in range(k):
+                product = op_mul(product, shifted[i])
+        total = total + product.left_scale(c)
     return total
 
 

@@ -41,6 +41,12 @@ from .opalg import DiffOperator, gauge
 
 DEFAULT_SEED = 1729
 
+# The oracle's draws: sample points per check, resamples per point when a
+# denominator vanishes, and the total degree of each random instance.
+_POINTS = 3
+_RETRIES = 8
+_DEGREE = 3
+
 
 class UnknownCoefficientError(ValueError):
     """Expression references a coefficient or a parameter the class lacks."""
@@ -71,7 +77,6 @@ class DeltaContext:
     def _check(self, E: JetExpr) -> None:
         known = {s.vector for s in self.gauge_map}
         known.update(v for v, _ in self.spec.maximal_terms)
-        params = {s for _, c in self.spec.maximal_terms for s in c.base_symbols()}
         for s in E.base_symbols():
             if s.kind == KIND_GAUGE:
                 raise ValueError("expression already contains the gauge symbol")
@@ -79,7 +84,7 @@ class DeltaContext:
                 raise UnknownCoefficientError(
                     f"coefficient a_{s.vector} is not in the class lattice"
                 )
-            if s.kind == KIND_PARAM and s not in params:
+            if s.kind == KIND_PARAM and s not in self.spec.parameters:
                 raise UnknownCoefficientError(f"parameter {s.text()} is not in the class")
 
 
@@ -125,11 +130,12 @@ class _RatPoly:
         self.terms = {m: c for m, c in terms.items() if c}
 
     @staticmethod
-    def random(n: int, rng: random.Random, max_degree: int = 3) -> "_RatPoly":
-        """Coefficients i/j with -7 <= i <= 7 and 1 <= j <= 7, reduced."""
+    def random(n: int, rng: random.Random) -> "_RatPoly":
+        """Total degree <= _DEGREE; coefficients i/j with -7 <= i <= 7 and
+        1 <= j <= 7, reduced."""
         terms = {}
-        for m in _cartesian(*(range(max_degree + 1) for _ in range(n))):
-            if sum(m) > max_degree:
+        for m in _cartesian(*(range(_DEGREE + 1) for _ in range(n))):
+            if sum(m) > _DEGREE:
                 continue
             terms[m] = _ratio(rng.randint(-7, 7), rng.randint(1, 7))
         return _RatPoly(n, terms)
@@ -197,22 +203,16 @@ def _binom(v, w) -> int:
     return out
 
 
-def numeric_spot_check(
-    E: JetExpr,
-    ctx: DeltaContext,
-    seed: int = DEFAULT_SEED,
-    points: int = 3,
-    retries: int = 8,
-) -> bool:
+def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED) -> bool:
     """Compare E on random polynomial coefficients before and after gauging.
 
     Every free symbol of the class and of E (the non-maximal lattice
     coefficients, the maximal ones that are symbolic or in E, and g)
-    becomes a random polynomial in x_1..x_n of total degree <= 3 with
-    small rational coefficients.  At a random rational point, E is
-    evaluated once on the jets of those polynomials and once on the jets
-    of the gauged coefficients.  The
-    gauged jets come from the concrete operator itself, by Leibniz:
+    becomes a random polynomial in x_1..x_n of total degree <= _DEGREE (3)
+    with small rational coefficients.  At each of _POINTS (3) random
+    rational points, E is evaluated once on the jets of those polynomials
+    and once on the jets of the gauged coefficients.  The gauged jets come
+    from the concrete operator itself, by Leibniz:
 
         d^alpha a'_w = sum_{v >= w} C(v, w) sum_{beta <= alpha} C(alpha, beta)
                                    * d^beta c_v * d^{alpha-beta} B_{v-w},
@@ -232,7 +232,7 @@ def numeric_spot_check(
     changes a verdict of exact arithmetic at the same draws only when P
     divides the numerator of a nonzero exact value.  A point at which a
     denominator of E, before or after gauging, vanishes modulo P is
-    resampled, at most ``retries`` times per point; after that the
+    resampled, at most _RETRIES (8) times per point; after that the
     ZeroDivisionError propagates.
     """
     ctx._check(E)
@@ -294,8 +294,8 @@ def numeric_spot_check(
             r = after_at[var] = r % _P
         return r
 
-    for _ in range(points):
-        for attempt in range(retries + 1):
+    for _ in range(_POINTS):
+        for attempt in range(_RETRIES + 1):
             point = tuple(_ratio(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n))
             at.clear()
             after_at.clear()
@@ -303,7 +303,7 @@ def numeric_spot_check(
             d0 = _value(den, jet)
             d1 = d0 and _value(den, after)
             if not d1:
-                if attempt == retries:
+                if attempt == _RETRIES:
                     raise ZeroDivisionError("denominator vanished at every sample point")
                 continue
             if _value(num, jet) * d1 % _P != _value(num, after) * d0 % _P:

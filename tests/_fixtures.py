@@ -1,9 +1,19 @@
-"""Shared fixture classes used across the test suite."""
+"""Shared fixture classes, and the paper's worked examples built on them."""
 from __future__ import annotations
 
-from gaugeinv.classify import ClassSpec
+from fractions import Fraction
+
+from gaugeinv.classify import ClassSpec, analyze
 from gaugeinv.grammar import parse_expr
-from gaugeinv.jetalg import ONE
+from gaugeinv.invariants import (
+    InvariantRecord,
+    _dedupe,
+    compatibility_invariants,
+    hyperbolic_templates_3d,
+    solve_gradient,
+    upward_invariants_from_template,
+)
+from gaugeinv.jetalg import JetExpr, ONE, coeff_symbol
 
 
 def spec_xy() -> ClassSpec:
@@ -86,3 +96,59 @@ ALL_CONSTRUCTIVE = {
     "xyz": spec_xyz,
     "five_order_3d": spec_five_order_3d,
 }
+
+
+def symmetric_bottom_invariant_3d() -> InvariantRecord:
+    """The symmetric form of I_000 for the 3D hyperbolic class.
+
+    Combines the template I_000 with compatibility and first-level upward
+    invariants:
+    I_000 + I_cxz - (1/3)(I_cxz)_y - (1/3)(I_cyz)_x - I_100 - I_010 - I_001 - 1.
+    """
+    an = analyze(spec_xyz())
+    sol = solve_gradient(an)
+    compat = {r.label: r.expression for r in compatibility_invariants(sol)}
+    stages, targets = hyperbolic_templates_3d()
+    ups = {
+        tuple(r.target_vector): r.expression
+        for r in upward_invariants_from_template(an, stages, targets)
+    }
+    i_cxz = compat["I_c(x,z)"]
+    i_cyz = compat["I_c(y,z)"]
+    expr = (
+        ups[(0, 0, 0)]
+        + i_cxz
+        - i_cxz.derive(2, 3).scale(Fraction(1, 3))
+        - i_cyz.derive(1, 3).scale(Fraction(1, 3))
+        - ups[(1, 0, 0)]
+        - ups[(0, 1, 0)]
+        - ups[(0, 0, 1)]
+        - ONE
+    )
+    return InvariantRecord("upward", "I_{000}^sym", expr, target_vector=(0, 0, 0))
+
+
+def x3_strict_upward(
+    i_10: InvariantRecord, i_01: InvariantRecord
+) -> tuple[InvariantRecord, InvariantRecord]:
+    """The manipulated combinations proposed for the X^3 class.
+
+    Given the template invariants I_10 and I_01 for the class generated by
+    {d_xxx, a_11 d_xy, a_02 d_yy}, forms
+    (I_10 + a_11 I_01)/(1 - 2 a_11 a_02) and
+    (I_01 + 2 a_02 I_10)/(1 - 2 a_11 a_02),
+    recording 1 - 2 a_11 a_02 as an assumption.  (The two inputs are in
+    fact proportional, so these combinations coincide with the inputs.)
+    """
+    a11 = JetExpr.symbol(coeff_symbol((1, 1)), dim=2)
+    a02 = JetExpr.symbol(coeff_symbol((0, 2)), dim=2)
+    denom = ONE - a11 * a02.scale(2)
+    first = (i_10.expression + a11 * i_01.expression) / denom
+    second = (i_01.expression + a02.scale(2) * i_10.expression) / denom
+    assumptions = _dedupe(
+        list(i_10.assumptions) + list(i_01.assumptions) + [denom]
+    )
+    return (
+        InvariantRecord("upward", "I_{10}*", first, assumptions, target_vector=(1, 0)),
+        InvariantRecord("upward", "I_{01}*", second, assumptions, target_vector=(0, 1)),
+    )

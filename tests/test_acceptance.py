@@ -21,16 +21,15 @@ from gaugeinv.invariants import (
     hyperbolic_templates_3d,
     recursive_hyperbolic_bottom,
     solve_gradient,
-    symmetric_bottom_invariant_3d,
     upward_invariant_generic,
     upward_invariants_from_template,
-    x3_strict_upward,
 )
 from gaugeinv.jetalg import JetExpr, ONE, param_symbol
 from gaugeinv.opalg import Factor, FactorTemplate
 from gaugeinv.verify import DeltaContext, is_invariant
 
 import _fixtures as fx
+from _fixtures import symmetric_bottom_invariant_3d, x3_strict_upward
 
 
 def P(text, dim=2):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from gaugeinv.cli import latex_expr
 from gaugeinv.grammar import ExprParseError, parse_expr, print_expr
 from gaugeinv.jetalg import JetExpr, ONE, coeff_symbol, gauge_symbol, param_symbol
 
@@ -100,3 +101,34 @@ def test_print_then_parse_is_identity_on_random_like_forms():
     y = parse_expr("a[0,1]", 2)
     e = (x ** 2 - y.scale(3)) / (x * y + JetExpr.const(5))
     assert parse_expr(print_expr(e), 2) == e
+
+
+# input -> (print_expr, latex_expr): unit and fractional coefficients of
+# either sign, leading and later; negative constants; powers; a quotient
+WRITTEN = [
+    ("a[1,0] - a[0,1]", "-a[0,1] + a[1,0]", "-a_{01} + a_{10}"),
+    ("-a[1,0] + 1", "-a[1,0] + 1", "-a_{10} + 1"),
+    ("-a[1,0]*a[0,1] - 1/2*g;[0,1] + 3",
+     "-a[0,1]*a[1,0] - 1/2*g;[0,1] + 3",
+     r"-a_{01} a_{10} - \frac{1}{2} g_{y} + 3"),
+    ("-3/4*a[1,1]^2 + a[1,0];[1,0] - 1",
+     "-3/4*a[1,1]^2 + a[1,0];[1,0] - 1",
+     r"-\frac{3}{4} a_{11}^{2} + a_{10x} - 1"),
+    ("-p - 5/3*a[1,0]^3*q;[0,2] + 2*a[0,1]^2",
+     "-5/3*a[1,0]^3*q;[0,2] + 2*a[0,1]^2 - p",
+     r"-\frac{5}{3} a_{10}^{3} q_{yy} + 2 a_{01}^{2} - p"),
+    ("(a[1,0] - 1/2)/(a[0,1]^2 - 2*a[1,0])",
+     "(a[1,0] - 1/2)/(a[0,1]^2 - 2*a[1,0])",
+     r"\frac{a_{10} - \frac{1}{2}}{a_{01}^{2} - 2 a_{10}}"),
+    ("-1/3", "-1/3", r"-\frac{1}{3}"),
+    ("(1 - 2*a[1,1]*a[0,2])^2",
+     "4*a[0,2]^2*a[1,1]^2 - 4*a[0,2]*a[1,1] + 1",
+     "4 a_{02}^{2} a_{11}^{2} - 4 a_{02} a_{11} + 1"),
+]
+
+
+@pytest.mark.parametrize("text,printed,latex", WRITTEN)
+def test_writers_give_exact_strings(text, printed, latex):
+    e = parse_expr(text, 2)
+    assert print_expr(e) == printed
+    assert latex_expr(e, 2) == latex

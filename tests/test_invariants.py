@@ -24,10 +24,8 @@ from gaugeinv.invariants import (
     maximal_invariants,
     recursive_hyperbolic_bottom,
     solve_gradient,
-    symmetric_bottom_invariant_3d,
     upward_invariant_generic,
     upward_invariants_from_template,
-    x3_strict_upward,
     _solve_param_linear,
     _solve_targets,
 )
@@ -36,6 +34,7 @@ from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, expand_sum
 from gaugeinv.verify import DeltaContext, is_invariant, numeric_spot_check
 
 import _fixtures as fx
+from _fixtures import symmetric_bottom_invariant_3d, x3_strict_upward
 
 
 def P(text, dim=2):

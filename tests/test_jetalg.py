@@ -71,6 +71,16 @@ def test_monomial_content_cancellation():
     assert equal(e, ONE + x)
 
 
+def test_cancellation_to_a_constant_denominator_leaves_the_unit_one():
+    x, y = a(1, 0), a(0, 1)
+    cases = [((x * y) / x, y), ((x.scale(2) * y) / x.scale(3), y.scale(Fraction(2, 3)))]
+    for e, value in cases:
+        # the shared unit denominator of every polynomial, as for value itself
+        assert e.den is ONE.den and e.num == value.num
+        assert e.derive(2, 2).den is ONE.den
+    assert ((x * y) / (y * x)).is_const()
+
+
 def test_derive_product_rule():
     x, y = a(1, 0), a(0, 1)
     d = (x * y).derive(1, 2)
