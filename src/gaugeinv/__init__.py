@@ -7,7 +7,7 @@ verifies each one symbolically via the Delta-calculus.
 """
 
 from .classify import ClassAnalysis, ClassSpec, analyze, class_operator, phi
-from .grammar import ExprParseError, parse_expr, print_expr
+from .grammar import ExprParseError, InputError, parse_expr, print_expr
 from .invariants import (
     GradientSolution,
     HypothesisError,
@@ -28,7 +28,6 @@ from .invariants import (
 )
 from .jetalg import (
     BaseSymbol,
-    CyclicBindingError,
     JetExpr,
     JetVariable,
     Poly,
@@ -37,7 +36,6 @@ from .jetalg import (
     gauge_symbol,
     param_symbol,
     proportional,
-    resolve_bindings,
     substitute,
 )
 from .opalg import DiffOperator, Factor, FactorTemplate, expand_sum, expand_template, gauge, op_mul

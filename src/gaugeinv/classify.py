@@ -12,19 +12,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import multiindex as mi
-from .grammar import parse_expr, print_expr
-from .jetalg import BaseSymbol, JetExpr, KIND_PARAM, coeff_symbol
+from .grammar import InputError, parse_expr, print_expr
+from .jetalg import BaseSymbol, JetExpr, KIND_GAUGE, KIND_PARAM, coeff_symbol
 from .multiindex import MultiIndex
+from .opalg import DiffOperator
 
 
-class ClassSpecError(ValueError):
+class ClassSpecError(InputError):
     """Invalid class specification."""
 
 
 def _valid_coefficient(c: JetExpr) -> bool:
-    """Literal nonzero constant, or a single underived symbol."""
+    """Literal nonzero constant, or a single underived symbol other than g."""
     if c.is_zero():
         return False
     if c.is_const():
@@ -33,7 +35,8 @@ def _valid_coefficient(c: JetExpr) -> bool:
     if len(vs) != 1:
         return False
     v = next(iter(vs))
-    return any(v.deriv) is False and c == JetExpr.symbol(v.base, v.deriv)
+    return (v.base.kind != KIND_GAUGE and not any(v.deriv)
+            and c == JetExpr.symbol(v.base, v.deriv))
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,26 @@ class ClassSpec:
             raise ClassSpecError(f"dimension must be >= 1, got {self.dimension}")
         if not self.maximal_terms:
             raise ClassSpecError("at least one maximal term is required")
-        vectors = [v for v, _ in self.maximal_terms]
-        for v in vectors:
-            mi.check_index(v, self.dimension)
-        if len(set(vectors)) != len(vectors):
+        for v, _ in self.maximal_terms:
+            try:
+                mi.check_index(v, self.dimension)
+            except ValueError as exc:
+                raise ClassSpecError(f"invalid maximal vector: {exc}") from exc
+        if len(self.maximal_set) != len(self.maximal_terms):
             raise ClassSpecError("duplicate maximal vectors")
-        if not mi.is_antichain(vectors):
+        if not mi.is_antichain(self.maximal_set):
             raise ClassSpecError("maximal vectors must form an antichain")
         for v, c in self.maximal_terms:
             if not _valid_coefficient(c):
                 raise ClassSpecError(
-                    f"coefficient of {v} must be a nonzero constant or a single symbol"
+                    f"coefficient of {v} must be a nonzero constant or a single "
+                    "symbol other than g"
                 )
+
+    @cached_property
+    def maximal_set(self) -> frozenset[MultiIndex]:
+        """The maximal vectors."""
+        return frozenset(v for v, _ in self.maximal_terms)
 
     @property
     def parameters(self) -> frozenset[BaseSymbol]:
@@ -91,13 +102,11 @@ class ClassSpec:
     def from_json(data: dict) -> "ClassSpec":
         try:
             dim = int(data["dimension"])
-            terms = tuple(
-                (tuple(t["vector"]), parse_expr(str(t["coefficient"]), dim))
-                for t in data["maximal_terms"]
-            )
-        except (KeyError, TypeError) as exc:
+            raw = [(tuple(t["vector"]), str(t["coefficient"]))
+                   for t in data["maximal_terms"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ClassSpecError(f"malformed class spec: {exc}") from exc
-        return ClassSpec(dim, terms)
+        return ClassSpec(dim, tuple((v, parse_expr(c, dim)) for v, c in raw))
 
     @staticmethod
     def load(path: str) -> "ClassSpec":
@@ -148,12 +157,16 @@ def phi(analysis: ClassAnalysis, v: MultiIndex) -> tuple[JetExpr, ...]:
     v = tuple(v)
     if v not in analysis.submaximal_set:
         raise ValueError(f"{v} is not submaximal")
-    n = analysis.dimension
+    return _phi_row(analysis.spec, v)
+
+
+def _phi_row(spec: ClassSpec, v: MultiIndex) -> tuple[JetExpr, ...]:
+    n = spec.dimension
     row = []
     for i in range(1, n + 1):
         up = mi.add(v, mi.unit(n, i))
-        if up in analysis.maximal_set:
-            row.append(analysis.spec.coefficient(up).scale(Fraction(v[i - 1] + 1)))
+        if up in spec.maximal_set:
+            row.append(spec.coefficient(up).scale(Fraction(v[i - 1] + 1)))
         else:
             row.append(JetExpr.const(0))
     return tuple(row)
@@ -217,7 +230,7 @@ def _reduce_row(row, reduced, assumptions):
 
 def analyze(spec: ClassSpec) -> ClassAnalysis:
     n = spec.dimension
-    maximal = frozenset(v for v, _ in spec.maximal_terms)
+    maximal = spec.maximal_set
     all_vectors = frozenset(mi.down_set(maximal))
     submaximal = frozenset(
         v for v in all_vectors - maximal
@@ -231,10 +244,7 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
 
     # Greedy framing-set selection: scan S in the preference order, keep a
     # vector iff its phi-row strictly increases the symbolic rank.
-    partial = ClassAnalysis(
-        spec, all_vectors, maximal, submaximal, interior,
-        witness is not None, witness, False, None, ())
-    rows = {s: phi(partial, s) for s in submaximal}
+    rows = {s: _phi_row(spec, s) for s in submaximal}
     ordered = sorted(submaximal, key=lambda s: _framing_order_key(s, rows[s]))
     reduced: list[tuple[int, list[JetExpr]]] = []
     chosen: list[MultiIndex] = []
@@ -258,12 +268,11 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
     )
 
 
-def class_operator(spec: ClassSpec) -> "DiffOperator":
+def class_operator(spec: ClassSpec) -> DiffOperator:
     """The generic operator of the class: maximal coefficients as given,
     one coefficient symbol a_v for every non-maximal lattice vector."""
-    from .opalg import DiffOperator
     n = spec.dimension
-    maximal = {v for v, _ in spec.maximal_terms}
+    maximal = spec.maximal_set
     terms = {v: spec.coefficient(v) for v in maximal}
     for v in mi.down_set(maximal) - maximal:
         terms[v] = JetExpr.symbol(coeff_symbol(v), dim=n)

@@ -12,9 +12,10 @@ gauge <operator.json> --g <expr>
 verify <spec.json> --expr <expr> [--seed K]
     Print the verification report for one expression over the class.
 
-Exit codes: 0 success, 1 parse error, 2 hypothesis/semantic error,
-3 verification failure, 4 internal error (any other exception, reported
-as one line on stderr instead of a traceback).
+Exit codes: 0 success, 1 parse error, 2 any other invalid input (an
+InputError: a hypothesis failure, a malformed spec, operator or template,
+an unsolvable stage, ...), 3 verification failure, 4 internal error (any
+other exception, reported as one line on stderr instead of a traceback).
 
 Template files are JSON of the form::
 
@@ -37,18 +38,12 @@ import json
 import sys
 
 from . import multiindex as mi
-from .classify import ClassSpec, ClassSpecError, analyze
-from .grammar import ExprParseError, parse_expr, write_poly
-from .invariants import (
-    HypothesisError,
-    SolveError,
-    TemplateNotClosedError,
-    complete_set,
-    upward_invariants_from_template,
-)
-from .jetalg import JetExpr, JetVariable, KIND_COEFF, Poly
-from .opalg import DiffOperator, Factor, FactorTemplate, gauge
-from .verify import DEFAULT_SEED, DeltaContext, UnknownCoefficientError, report
+from .classify import ClassSpec, analyze
+from .grammar import ExprParseError, InputError, parse_expr, write_poly
+from .invariants import complete_set, upward_invariants_from_template
+from .jetalg import JetExpr, JetVariable, KIND_COEFF, Poly, gauge_symbol
+from .opalg import DiffOperator, Factor, FactorTemplate, OperatorSpecError, gauge
+from .verify import DEFAULT_SEED, DeltaContext, report
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -88,20 +83,13 @@ def _latex_poly(p: Poly, names: list[str]) -> str:
     )
 
 
-def latex_expr(e: JetExpr, dim: int | None = None) -> str:
-    """Paper-style LaTeX for a JetExpr."""
-    n = dim if dim is not None else _infer_dim(e)
-    names = _latex_names(n)
+def latex_expr(e: JetExpr, dim: int) -> str:
+    """Paper-style LaTeX for a JetExpr of the given dimension."""
+    names = _latex_names(dim)
     num = _latex_poly(e.num, names)
     if e.den.is_const():
         return num
     return f"\\frac{{{num}}}{{{_latex_poly(e.den, names)}}}"
-
-
-def _infer_dim(e: JetExpr) -> int:
-    for v in e.variables():
-        return len(v.deriv)
-    return 1
 
 
 def latex_operator(L: DiffOperator) -> str:
@@ -131,21 +119,27 @@ def load_templates(path: str, dim: int):
         data = json.load(fh)
     stages = []
     targets = []
-    for stage in data["stages"]:
-        templates = []
-        for t in stage["templates"]:
-            prefactor = parse_expr(str(t.get("prefactor", "1")), dim)
-            factors = tuple(
-                Factor(
-                    tuple(tuple(map(int, w)) for w in f["powers"]),
-                    parse_expr(str(f.get("shift", "0")), dim),
-                )
-                for f in t["factors"]
-            )
-            templates.append(FactorTemplate(dim, factors, prefactor))
-        stages.append(templates)
-        targets.append([tuple(map(int, v)) for v in stage["targets"]])
-    return stages, targets, bool(data.get("check_closure", False))
+    try:
+        for stage in data["stages"]:
+            templates = []
+            for t in stage["templates"]:
+                prefactor = parse_expr(str(t.get("prefactor", "1")), dim)
+                factors = []
+                for f in t["factors"]:
+                    powers = tuple(tuple(map(int, w)) for w in f["powers"])
+                    for w in powers:
+                        mi.check_index(w, dim)
+                    shift = parse_expr(str(f.get("shift", "0")), dim)
+                    factors.append(Factor(powers, shift))
+                templates.append(FactorTemplate(dim, tuple(factors), prefactor))
+            stages.append(templates)
+            targets.append([tuple(map(int, v)) for v in stage["targets"]])
+        closure = bool(data.get("check_closure", False))
+    except ExprParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise OperatorSpecError(f"malformed template file: {exc}") from exc
+    return stages, targets, closure
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +216,6 @@ def cmd_gauge(args) -> int:
     gauged = gauge(L)
     if args.g is not None and args.g.strip() not in ("g", ""):
         g_expr = parse_expr(args.g, L.dim)
-        from .jetalg import gauge_symbol
         gauged = gauged.substitute({gauge_symbol(): g_expr})
     payload = {"operator": gauged.to_json()}
     _emit(payload, args.format, [latex_operator(gauged)])
@@ -285,18 +278,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, ExprParseError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ExprParseError,
+            FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        ClassSpecError,
-        HypothesisError,
-        SolveError,
-        TemplateNotClosedError,
-        UnknownCoefficientError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except Exception as exc:  # a fault in gaugeinv, not in the input

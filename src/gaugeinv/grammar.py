@@ -22,7 +22,13 @@ from .jetalg import (
 )
 
 
-class ExprParseError(ValueError):
+class InputError(ValueError):
+    """Invalid input, as opposed to a fault in gaugeinv: the CLI reports
+    an ExprParseError as a parse error and any other InputError as a
+    hypothesis or semantic error."""
+
+
+class ExprParseError(InputError):
     """Raised on malformed expression text."""
 
 

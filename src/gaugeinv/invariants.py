@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from . import jetalg
 from . import multiindex as mi
 from .classify import ClassAnalysis, ClassSpec, analyze, class_operator, phi
-from .grammar import print_expr
+from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
     JetExpr,
@@ -43,10 +43,17 @@ from .jetalg import (
     substitute,
 )
 from .multiindex import MultiIndex
-from .opalg import DiffOperator, Factor, FactorTemplate, expand_sum, expand_template
+from .opalg import (
+    DiffOperator,
+    Factor,
+    FactorTemplate,
+    GaugeSymbolPresentError,
+    expand_sum,
+    expand_template,
+)
 
 
-class HypothesisError(ValueError):
+class HypothesisError(InputError):
     """A hypothesis of the main construction fails for this class."""
 
 
@@ -58,11 +65,11 @@ class NotFramedError(HypothesisError):
     pass
 
 
-class SolveError(ValueError):
+class SolveError(InputError):
     """A parameter solve is not uniquely possible."""
 
 
-class TemplateNotClosedError(ValueError):
+class TemplateNotClosedError(InputError):
     """The template family is not closed under gauge transformations."""
 
 
@@ -113,7 +120,7 @@ class InvariantRecord:
 
     def __post_init__(self):
         if any(s.kind == KIND_GAUGE for s in self.expression.base_symbols()):
-            raise ValueError(
+            raise GaugeSymbolPresentError(
                 f"invariant {self.label} contains the gauge symbol"
             )
 
@@ -366,11 +373,11 @@ def _c_factors(n: int, counts: Sequence[int]) -> list[Factor]:
     return factors
 
 
-def _cm_templates(analysis: ClassAnalysis) -> tuple[FactorTemplate, ...]:
+def _cm_templates(sol: GradientSolution) -> tuple[FactorTemplate, ...]:
     """The shifted-factor products of C_m, one per maximal vector."""
+    analysis = sol.analysis
     n = analysis.dimension
-    residual = analysis.submaximal_set - set(analysis.framing_set or ())
-    f = _least_cover(residual, analysis.maximal_set)
+    f = _least_cover(sol.residual_vectors, analysis.maximal_set)
     templates = []
     for m in mi.sort_canonical(analysis.maximal_set):
         lower = {i: tuple(a - b for a, b in zip(m, mi.unit(n, i))) for i in range(1, n + 1)}
@@ -485,7 +492,7 @@ class _GenericParts:
         analysis = sol.analysis
         self.sol = sol
         self.analysis = analysis
-        self.templates = _cm_templates(analysis)
+        self.templates = _cm_templates(sol)
         self.expanded = expand_sum(self.templates)
         self.L = class_operator(analysis.spec)
         self.fint = _least_cover(

@@ -31,12 +31,6 @@ KIND_COEFF = "coeff"
 KIND_GAUGE = "gauge"
 KIND_PARAM = "param"
 
-_KIND_RANK = {KIND_COEFF: 0, KIND_GAUGE: 1, KIND_PARAM: 2}
-
-
-class CyclicBindingError(ValueError):
-    """A bound symbol appears in its own binding after closure."""
-
 
 class NotLinearError(ValueError):
     """An expression is not of the form A*p + B in a symbol p."""
@@ -85,16 +79,9 @@ class JetVariable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _var_key(v: JetVariable):
-    # Total order: Coefficient < Gauge < Parameter, then owner-vector/name
-    # lex, then deriv graded lex.
-    base = v.base
-    return (
-        _KIND_RANK[base.kind],
-        base.vector or (),
-        base.name or "",
-        mi_order(v.deriv),
-        v.deriv,
-    )
+    # Total order: the base symbol (the kind names sort coeff < gauge <
+    # param), then deriv graded lex.
+    return symbol_key(v.base) + (mi_order(v.deriv), v.deriv)
 
 
 # A monomial is a tuple of (JetVariable, exponent) pairs, sorted by _var_key,
@@ -176,9 +163,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
@@ -417,73 +401,23 @@ def proportional(a: JetExpr, b: JetExpr) -> bool:
     return (p - q.scale(Fraction(cp) / cq)).is_zero()
 
 
-def _toposort_bindings(bindings: Mapping[BaseSymbol, JetExpr]) -> list[BaseSymbol]:
-    bound = set(bindings)
-    deps = {s: (bindings[s].base_symbols() & bound) - {s} for s in bound}
-    out: list[BaseSymbol] = []
-    mark: dict[BaseSymbol, int] = {}
-
-    def visit(s: BaseSymbol, stack: list[BaseSymbol]):
-        state = mark.get(s)
-        if state == 2:
-            return
-        if state == 1:
-            cyc = " -> ".join(x.text() for x in stack + [s])
-            raise CyclicBindingError(f"cyclic substitution: {cyc}")
-        mark[s] = 1
-        for t in sorted(deps[s], key=symbol_key):
-            visit(t, stack + [s])
-        mark[s] = 2
-        out.append(s)
-
-    for s in sorted(bound, key=symbol_key):
-        visit(s, [])
-    return out
-
-
 def substitute(e: JetExpr, bindings: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
     """Simultaneous one-pass substitution of base symbols by expressions.
 
     Derived jet variables of a bound symbol are replaced by the matching
     derivatives of the binding, so substitution commutes with derive on
-    bound symbols.  Bound symbols occurring in a right-hand side always
-    denote the *original* (pre-substitution) symbols; use
-    ``resolve_bindings`` first when bindings are meant to reference each
-    other's substituted values.
+    bound symbols.  Bound symbols on a right-hand side denote the original
+    symbols, not their bindings: the map is applied once, never iterated.
     """
-    if not bindings:
-        return e
-    return _apply_bindings(e, bindings)
-
-
-def resolve_bindings(
-    bindings: Mapping[BaseSymbol, JetExpr],
-) -> dict[BaseSymbol, JetExpr]:
-    """Close a set of cross-referencing bindings.
-
-    Returns an equivalent map in which no right-hand side mentions a bound
-    symbol, suitable for a single ``substitute`` pass.  Raises
-    CyclicBindingError when a bound symbol appears in its own binding after
-    closure (directly or through a reference cycle).
-    """
-    resolved: dict[BaseSymbol, JetExpr] = {}
-    for s in _toposort_bindings(bindings):
-        resolved[s] = _apply_bindings(bindings[s], resolved)
-        if s in resolved[s].base_symbols():
-            raise CyclicBindingError(f"{s.text()} appears in its own binding")
-    return resolved
-
-
-def _apply_bindings(e: JetExpr, resolved: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
-    if not resolved or not (e.base_symbols() & set(resolved)):
+    if not bindings or e.base_symbols().isdisjoint(bindings):
         return e
     cache: dict[JetVariable, JetExpr] = {}
 
     def value(v: JetVariable) -> JetExpr:
-        if v.base not in resolved:
+        if v.base not in bindings:
             return JetExpr(Poly.var(v))
         if v not in cache:
-            cache[v] = resolved[v.base].derive_multi(v.deriv)
+            cache[v] = bindings[v.base].derive_multi(v.deriv)
         return cache[v]
 
     return map_jets(e, value)

@@ -18,6 +18,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from . import multiindex as mi
+from .grammar import InputError, parse_expr, print_expr
 from .jetalg import (
     BaseSymbol,
     JetExpr,
@@ -26,12 +27,17 @@ from .jetalg import (
     ONE,
     Poly,
     gauge_symbol,
+    substitute,
 )
 from .multiindex import DimensionMismatchError, MultiIndex
 
 
-class GaugeSymbolPresentError(ValueError):
-    """The operator already contains the gauge symbol."""
+class GaugeSymbolPresentError(InputError):
+    """An input operator, template or expression already contains g."""
+
+
+class OperatorSpecError(InputError):
+    """A malformed operator or template input."""
 
 
 def _clean(terms: Mapping[MultiIndex, JetExpr]) -> dict[MultiIndex, JetExpr]:
@@ -101,13 +107,11 @@ class DiffOperator:
         return out
 
     def substitute(self, bindings: Mapping[BaseSymbol, JetExpr]) -> "DiffOperator":
-        from .jetalg import substitute
         return DiffOperator(
             self.dim, {v: substitute(c, bindings) for v, c in self.terms.items()}
         )
 
     def to_json(self) -> list[dict]:
-        from .grammar import print_expr
         return [
             {"vector": list(v), "coeff": print_expr(self.terms[v])}
             for v in mi.sort_canonical(self.terms)
@@ -115,17 +119,20 @@ class DiffOperator:
 
     @staticmethod
     def from_json(data: list[dict]) -> "DiffOperator":
-        from .grammar import parse_expr
         if not data:
-            raise ValueError("empty operator serialization")
-        dim = len(data[0]["vector"])
+            raise OperatorSpecError("empty operator serialization")
+        try:
+            dim = len(data[0]["vector"])
+            entries = [(tuple(e["vector"]), str(e["coeff"])) for e in data]
+            for v, _ in entries:
+                mi.check_index(v, dim)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise OperatorSpecError(f"malformed operator: {exc}") from exc
         terms = {}
-        for entry in data:
-            v = tuple(entry["vector"])
-            mi.check_index(v, dim)
+        for v, c in entries:
             if v in terms:
-                raise ValueError(f"duplicate vector {v}")
-            terms[v] = parse_expr(entry["coeff"], dim)
+                raise OperatorSpecError(f"duplicate vector {v}")
+            terms[v] = parse_expr(c, dim)
         return DiffOperator(dim, terms)
 
     def __repr__(self):
@@ -219,17 +226,15 @@ class FactorTemplate:
     prefactor: JetExpr = field(default_factory=lambda: ONE)
 
     def text(self) -> str:
-        from .grammar import print_expr
         parts = []
         if not (self.prefactor.is_const() and not self.prefactor.is_zero()
                 and self.prefactor.const_value() == 1):
             parts.append(f"({print_expr(self.prefactor)})")
         for f in self.factors:
-            d = " + ".join("d[" + ",".join(map(str, w)) + "]" for w in f.powers)
-            if f.shift.is_zero():
-                parts.append(f"({d})")
-            else:
-                parts.append(f"({d} + {print_expr(f.shift)})")
+            terms = ["d[" + ",".join(map(str, w)) + "]" for w in f.powers]
+            if not f.shift.is_zero():
+                terms.append(print_expr(f.shift))
+            parts.append("(" + " + ".join(terms) + ")")
         return "".join(parts) if parts else "1"
 
 
@@ -250,7 +255,7 @@ def expand_template(t: FactorTemplate) -> DiffOperator:
 def expand_sum(templates: Iterable[FactorTemplate]) -> DiffOperator:
     templates = list(templates)
     if not templates:
-        raise ValueError("empty template sum")
+        raise OperatorSpecError("empty template sum")
     total = DiffOperator.zero(templates[0].dim)
     for t in templates:
         total = total + expand_template(t)

@@ -24,7 +24,7 @@ from math import comb
 
 from . import multiindex as mi
 from .classify import ClassSpec, class_operator
-from .grammar import print_expr
+from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
     JetExpr,
@@ -37,7 +37,7 @@ from .jetalg import (
     substitute,
     symbol_key,
 )
-from .opalg import DiffOperator, gauge
+from .opalg import DiffOperator, GaugeSymbolPresentError, gauge
 
 DEFAULT_SEED = 1729
 
@@ -48,7 +48,7 @@ _RETRIES = 8
 _DEGREE = 3
 
 
-class UnknownCoefficientError(ValueError):
+class UnknownCoefficientError(InputError):
     """Expression references a coefficient or a parameter the class lacks."""
 
 
@@ -67,19 +67,19 @@ class DeltaContext:
         Lg = gauge(L)
         # Maximal coefficients are unchanged; only non-maximal lattice
         # coefficients acquire gauge terms.
-        maximal = {v for v, _ in spec.maximal_terms}
         gmap = {
             coeff_symbol(v): Lg.coefficient(v)
-            for v in L.support() - maximal
+            for v in L.support() - spec.maximal_set
         }
         return DeltaContext(spec, L, Lg, gmap)
 
     def _check(self, E: JetExpr) -> None:
-        known = {s.vector for s in self.gauge_map}
-        known.update(v for v, _ in self.spec.maximal_terms)
+        known = {s.vector for s in self.gauge_map} | self.spec.maximal_set
         for s in E.base_symbols():
             if s.kind == KIND_GAUGE:
-                raise ValueError("expression already contains the gauge symbol")
+                raise GaugeSymbolPresentError(
+                    "expression already contains the gauge symbol"
+                )
             if s.kind == KIND_COEFF and s.vector not in known:
                 raise UnknownCoefficientError(
                     f"coefficient a_{s.vector} is not in the class lattice"
@@ -239,8 +239,7 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED) 
     n = ctx.spec.dimension
     rng = random.Random(seed)
     L = ctx.operator
-    maximal = {v for v, _ in ctx.spec.maximal_terms}
-    gauged = L.support() - maximal
+    gauged = L.support() - ctx.spec.maximal_set
     g = gauge_symbol()
     # The symbols of L, L' and E; g occurs in L' when any coefficient is gauged.
     symbols = L.base_symbols() | E.base_symbols() | ({g} if gauged else set())

@@ -28,6 +28,25 @@ def test_spec_validation():
     with pytest.raises(ClassSpecError):
         # compound coefficients are not single symbols
         ClassSpec(2, (((1, 1), parse_expr("a[1,0] + 1", 2)),))
+    with pytest.raises(ClassSpecError):
+        ClassSpec(2, (((1, 1), parse_expr("g", 2)),))  # the gauge symbol
+    for bad in ((-1, 2), (1, 1, 1)):  # a negative entry; the wrong length
+        with pytest.raises(ClassSpecError):
+            ClassSpec(2, ((bad, ONE),))
+
+
+def test_spec_json_errors_are_typed():
+    terms = [{"vector": [1, 1], "coefficient": "1"}]
+    for data in ({"dimension": "two", "maximal_terms": terms},
+                 {"dimension": 2}, {"dimension": 2, "maximal_terms": [{"vector": [1, 1]}]}):
+        with pytest.raises(ClassSpecError):
+            ClassSpec.from_json(data)
+
+
+def test_maximal_set():
+    spec = fx.spec_xxy_xyy()
+    assert spec.maximal_set == {(2, 1), (1, 2)}
+    assert analyze(spec).maximal_set is spec.maximal_set
 
 
 def test_spec_json_round_trip():

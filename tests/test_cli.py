@@ -180,6 +180,85 @@ def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatc
     assert err == "internal error: RuntimeError: broken command\n"
 
 
+XY_TERMS = [{"vector": [1, 1], "coefficient": "1"}]
+STAGE_XY = {"templates": [{"factors": [{"powers": [[1, 0]], "shift": "p"},
+                                       {"powers": [[0, 1]], "shift": "q"}]}],
+            "targets": [[1, 0], [0, 1]]}
+
+
+def _with_factor(factor):
+    return {"stages": [{"templates": [{"factors": [factor]}], "targets": [[0, 0]]}]}
+
+
+# case -> (command, file content, extra arguments, a piece of the message);
+# "templates" runs invariants on the d_xy class with the content as its
+# template file.  Each is an input error that a typed library error reports.
+BAD_INPUTS = {
+    "dimension_not_int": ("analyze", {"dimension": "two", "maximal_terms": XY_TERMS}, [],
+                          "malformed class spec"),
+    "negative_vector": ("analyze", {"dimension": 2, "maximal_terms": [
+        {"vector": [-1, 2], "coefficient": "1"}]}, [], "invalid maximal vector"),
+    "vector_too_long": ("analyze", {"dimension": 2, "maximal_terms": [
+        {"vector": [1, 1, 1], "coefficient": "1"}]}, [], "invalid maximal vector"),
+    "gauge_coefficient": ("analyze", {"dimension": 2, "maximal_terms": [
+        {"vector": [1, 1], "coefficient": "g"}]}, [], "other than g"),
+    "factor_without_powers": ("templates", _with_factor({"shift": "p"}), [],
+                              "malformed template file: 'powers'"),
+    "negative_power": ("templates", _with_factor({"powers": [[-1, 0]], "shift": "p"}), [],
+                       "malformed template file"),
+    "empty_first_stage": ("templates", {"stages": [{"templates": [], "targets": []},
+                                                   STAGE_XY]}, [], "empty template sum"),
+    "gauge_in_template": ("templates", {"stages": [
+        {"templates": [*STAGE_XY["templates"], {"factors": [{"powers": [], "shift": "g"}]}],
+         "targets": STAGE_XY["targets"]}]}, [], "invariant I_{00} contains the gauge symbol"),
+    "empty_operator": ("gauge", [], [], "empty operator"),
+    "operator_without_coeff": ("gauge", [{"vector": [1, 0]}], [], "'coeff'"),
+    "operator_with_gauge": ("gauge", [{"vector": [1, 1], "coeff": "1"},
+                                      {"vector": [0, 0], "coeff": "g"}], [], "already contains"),
+    "expression_with_gauge": ("verify", {"dimension": 2, "maximal_terms": XY_TERMS},
+                              ["--expr", "g"], "gauge symbol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_input_errors_exit_2(tmp_path, capsys, case):
+    command, content, extra, message = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if command == "templates":
+        spec = write_spec(tmp_path, fx.spec_xy(), name="spec.json")
+        argv = ["invariants", spec, "--templates", str(path)]
+    else:
+        argv = [command, str(path), *extra]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_HYPOTHESIS, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_undecodable_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, ["analyze", str(path)])
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("exc", [ValueError("internal"), KeyError("internal")])
+def test_internal_value_error_exits_4(tmp_path, capsys, monkeypatch, exc):
+    # a ValueError or KeyError from inside gaugeinv is a fault, not a user error
+    def broken(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+
+
 def test_exhausted_oracle_retries_exit_4(tmp_path, capsys):
     # Each instance is a polynomial of degree <= 3, so a fourth derivative
     # vanishes at every sample point and the oracle gives up.

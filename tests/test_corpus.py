@@ -7,6 +7,10 @@ error or yields a set whose audit is complete, whose every record passes
 Delta and whose upward records have the a_v - E form.  The sha256 of the
 canonical JSON of all 228 outcomes pins the library's output byte for
 byte, so a refactor of the construction that changes any record fails.
+
+The symbolic variant takes every corpus class with at most three maximal
+terms and makes the parameter p the coefficient of its first vector: 187
+classes, held to the same checks and pinned the same way.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import pytest
 from gaugeinv import multiindex as mi
 from gaugeinv.classify import ClassSpec, analyze
 from gaugeinv.invariants import HypothesisError, complete_set, is_upward_form
-from gaugeinv.jetalg import ONE
+from gaugeinv.jetalg import ONE, JetExpr, param_symbol
 from gaugeinv.verify import DeltaContext, is_invariant
 
 # (dimension, highest order) of each part of the corpus
@@ -30,6 +34,9 @@ CENSUS = {"constructed": 147, "NotApproximatelyFlatError": 78, "NotFramedError":
 
 # sha256 of the canonical JSON of every outcome, in corpus order
 FINGERPRINT = "fa76e0f776cf5a6f2d191970a9583da83730db135f64ea93eaab4ea63a5c58e2"
+
+SYMBOLIC_CENSUS = {"constructed": 112, "NotApproximatelyFlatError": 75}
+SYMBOLIC_FINGERPRINT = "617b170b86393c21c78f75ed317be326c53deb5ab58f5898ebb23a6a8875265b"
 
 
 def antichains(n: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -59,10 +66,19 @@ def corpus() -> list[ClassSpec]:
     ]
 
 
-@pytest.fixture(scope="module")
-def outcomes():
+def symbolic_corpus() -> list[ClassSpec]:
     out = []
-    for spec in corpus():
+    for n, k in PARTS:
+        p = JetExpr.symbol(param_symbol("p"), dim=n)
+        for first, *rest in antichains(n, k):
+            if len(rest) < 3:
+                out.append(ClassSpec(n, ((first, p), *((v, ONE) for v in rest))))
+    return out
+
+
+def construct(specs):
+    out = []
+    for spec in specs:
         try:
             out.append((spec, complete_set(spec)))
         except HypothesisError as exc:
@@ -70,16 +86,15 @@ def outcomes():
     return out
 
 
-def test_census(outcomes):
-    census = Counter(
+def census(outcomes) -> Counter:
+    return Counter(
         type(o).__name__ if isinstance(o, Exception) else "constructed"
         for _, o in outcomes
     )
-    assert len(outcomes) == 228
-    assert census == CENSUS
 
 
-def test_every_set_is_complete_and_invariant(outcomes):
+def audit_records(outcomes) -> tuple[int, int]:
+    """Check every constructed set; return its (records, upward records)."""
     n_records = n_upward = 0
     for spec, o in outcomes:
         if isinstance(o, Exception):
@@ -94,10 +109,10 @@ def test_every_set_is_complete_and_invariant(outcomes):
                 assert is_upward_form(rec, an), (spec, rec.label)
                 n_upward += 1
         n_records += len(records)
-    assert (n_records, n_upward) == (1243, 524)
+    return n_records, n_upward
 
 
-def test_output_fingerprint(outcomes):
+def fingerprint(outcomes) -> str:
     canon = [
         {"class": spec.to_json(), "error": type(o).__name__}
         if isinstance(o, Exception)
@@ -106,4 +121,40 @@ def test_output_fingerprint(outcomes):
         for spec, o in outcomes
     ]
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
-    assert hashlib.sha256(blob).hexdigest() == FINGERPRINT
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    return construct(corpus())
+
+
+@pytest.fixture(scope="module")
+def symbolic_outcomes():
+    return construct(symbolic_corpus())
+
+
+def test_census(outcomes):
+    assert len(outcomes) == 228
+    assert census(outcomes) == CENSUS
+
+
+def test_every_set_is_complete_and_invariant(outcomes):
+    assert audit_records(outcomes) == (1243, 524)
+
+
+def test_output_fingerprint(outcomes):
+    assert fingerprint(outcomes) == FINGERPRINT
+
+
+def test_symbolic_census(symbolic_outcomes):
+    assert len(symbolic_outcomes) == 187
+    assert census(symbolic_outcomes) == SYMBOLIC_CENSUS
+
+
+def test_symbolic_sets_are_complete_and_invariant(symbolic_outcomes):
+    assert audit_records(symbolic_outcomes) == (894, 419)
+
+
+def test_symbolic_output_fingerprint(symbolic_outcomes):
+    assert fingerprint(symbolic_outcomes) == SYMBOLIC_FINGERPRINT

@@ -7,7 +7,6 @@ import pytest
 
 from gaugeinv.grammar import parse_expr
 from gaugeinv.jetalg import (
-    CyclicBindingError,
     JetExpr,
     JetVariable,
     NotLinearError,
@@ -20,7 +19,6 @@ from gaugeinv.jetalg import (
     map_jets,
     param_symbol,
     proportional,
-    resolve_bindings,
     substitute,
     symbol_key,
 )
@@ -143,20 +141,6 @@ def test_substitute_commutes_with_derivation():
     got = substitute(e, {x: ey * ey})
     want = (ey * ey).derive(1, 2) * (ey * ey)
     assert got == want
-
-
-def test_resolve_bindings_closure():
-    x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
-    ex, ey = a(1, 0), a(0, 1)
-    resolved = resolve_bindings({x: ey + ONE, y: a(0, 0)})
-    assert resolved[x] == a(0, 0) + ONE
-
-
-def test_resolve_bindings_detects_cycles():
-    x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
-    ex, ey = a(1, 0), a(0, 1)
-    with pytest.raises(CyclicBindingError):
-        resolve_bindings({x: ey, y: ex + ONE})
 
 
 def _coefficients(e):

@@ -12,6 +12,7 @@ from gaugeinv.opalg import (
     Factor,
     FactorTemplate,
     GaugeSymbolPresentError,
+    OperatorSpecError,
     expand_sum,
     expand_template,
     gauge,
@@ -90,6 +91,16 @@ def test_empty_template_expands_to_zero():
     assert expand_template(FactorTemplate(2, ())) == DiffOperator.zero(2)
 
 
+def test_template_text_of_staged_dxx_templates():
+    # a factor with no derivative powers prints as its shift alone
+    p = par("p", dim=1)
+    templates = [
+        FactorTemplate(1, (Factor(((1,),), ZERO), Factor.single((1,), p))),
+        FactorTemplate(1, (Factor((), ONE + p),)),
+    ]
+    assert [t.text() for t in templates] == ["(d[1])(d[1] + p)", "(p + 1)"]
+
+
 def test_expand_sum():
     q = par("q")
     t1 = FactorTemplate(2, (Factor.single((1, 0), q),))
@@ -151,10 +162,19 @@ def test_json_round_trip():
 
 
 def test_from_json_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(OperatorSpecError):
         DiffOperator.from_json(
             [
                 {"vector": [1, 0], "coeff": "1"},
                 {"vector": [1, 0], "coeff": "2"},
             ]
         )
+
+
+@pytest.mark.parametrize("data", [
+    [], [{"vector": [1, 0]}], [{"coeff": "1"}], [{"vector": [1, -1], "coeff": "1"}],
+    [{"vector": [1, 0], "coeff": "1"}, {"vector": [1], "coeff": "1"}],
+])
+def test_from_json_errors_are_typed(data):
+    with pytest.raises(OperatorSpecError):
+        DiffOperator.from_json(data)
