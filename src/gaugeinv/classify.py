@@ -101,7 +101,9 @@ class ClassSpec:
     @staticmethod
     def from_json(data: dict) -> "ClassSpec":
         try:
-            dim = int(data["dimension"])
+            dim = data["dimension"]
+            if type(dim) is not int:
+                raise TypeError(f"dimension must be an integer, got {dim!r}")
             raw = [(tuple(t["vector"]), str(t["coefficient"]))
                    for t in data["maximal_terms"]]
         except (KeyError, TypeError, ValueError) as exc:

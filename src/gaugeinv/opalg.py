@@ -179,13 +179,20 @@ def gauge(L: DiffOperator, gauge_name: str = "g") -> DiffOperator:
     for i in range(1, dim + 1):
         gx = JetExpr(Poly.var(JetVariable(gsym, mi.unit(dim, i))))
         shifted.append(DiffOperator(dim, {mi.unit(dim, i): ONE, (0,) * dim: gx}))
+    # B_v = prod_i (d_i + g_{x_i})^{v_i}, multiplied left to right; B_v is
+    # B_{v-e_j} times the factor of its last nonzero index j.
+    products = {(0,) * dim: DiffOperator.identity(dim)}
+
+    def b(v: MultiIndex) -> DiffOperator:
+        r = products.get(v)
+        if r is None:
+            j = max(i for i, k in enumerate(v) if k)
+            r = products[v] = op_mul(b(v[:j] + (v[j] - 1,) + v[j + 1:]), shifted[j])
+        return r
+
     total = DiffOperator.zero(dim)
     for v, c in L.terms.items():
-        product = DiffOperator.identity(dim)
-        for i, k in enumerate(v):
-            for _ in range(k):
-                product = op_mul(product, shifted[i])
-        total = total + product.left_scale(c)
+        total = total + b(v).left_scale(c)
     return total
 
 

@@ -203,7 +203,43 @@ def _binom(v, w) -> int:
     return out
 
 
-def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED) -> bool:
+class OracleDraws:
+    """The numeric oracle's draws for one class and seed, shared by checks.
+
+    One object serves the checks of one call, such as every record of
+    ``invariants --verify``.  Per set of symbols it keeps the random
+    instance, the derived jets, the generator positioned after the
+    instance, and the sample points it has drawn so far, each with its
+    memos: the jets before and after gauging and the B_u values.  A check
+    takes the points in the order the generator draws them, so it sees the
+    points, and the retries, of a check on its own, and its verdict is the
+    same.
+    """
+
+    def __init__(self, ctx: DeltaContext, seed: int):
+        self.ctx = ctx
+        self.seed = seed
+        L = ctx.operator
+        self.gauged = L.support() - ctx.spec.maximal_set
+        # The coefficient of each d^v: a residue when constant, else the jet
+        # variable of its single symbol.
+        self.coeff = {v: _residue(c.const_value()) if c.is_const()
+                      else next(iter(c.variables()))
+                      for v, c in L.terms.items()}
+        self._instances: dict[tuple[BaseSymbol, ...], tuple] = {}
+
+    def instance(self, symbols: tuple[BaseSymbol, ...]) -> tuple:
+        """(instance, derived jets, generator, points drawn) for the symbols."""
+        inst = self._instances.get(symbols)
+        if inst is None:
+            rng = random.Random(self.seed)
+            polys = {s: _RatPoly.random(self.ctx.spec.dimension, rng) for s in symbols}
+            inst = self._instances[symbols] = (polys, {}, rng, [])
+        return inst
+
+
+def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
+                       draws: OracleDraws | None = None) -> bool:
     """Compare E on random polynomial coefficients before and after gauging.
 
     Every free symbol of the class and of E (the non-maximal lattice
@@ -234,28 +270,26 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED) 
     denominator of E, before or after gauging, vanishes modulo P is
     resampled, at most _RETRIES (8) times per point; after that the
     ZeroDivisionError propagates.
+
+    ``draws``, an ``OracleDraws`` for the same ctx and seed, shares the
+    draws between the checks of one call; the verdict is the same as
+    without it.
     """
     ctx._check(E)
+    if draws is None:
+        draws = OracleDraws(ctx, seed)
+    elif draws.ctx is not ctx or draws.seed != seed:
+        raise ValueError("the oracle draws belong to another class or seed")
     n = ctx.spec.dimension
-    rng = random.Random(seed)
-    L = ctx.operator
-    gauged = L.support() - ctx.spec.maximal_set
+    gauged, coeff = draws.gauged, draws.coeff
     g = gauge_symbol()
     # The symbols of L, L' and E; g occurs in L' when any coefficient is gauged.
-    symbols = L.base_symbols() | E.base_symbols() | ({g} if gauged else set())
-    instance = {s: _RatPoly.random(n, rng) for s in sorted(symbols, key=symbol_key)}
-    # The coefficient of each d^v: a residue when constant, else the jet
-    # variable of its single symbol.
-    coeff = {v: _residue(c.const_value()) if c.is_const() else next(iter(c.variables()))
-             for v, c in L.terms.items()}
+    symbols = ctx.operator.base_symbols() | E.base_symbols() | ({g} if gauged else set())
+    instance, derived, rng, points = draws.instance(tuple(sorted(symbols, key=symbol_key)))
     num = [(_residue(c), m) for m, c in E.num.terms.items()]
     den = [(_residue(c), m) for m, c in E.den.terms.items()]
-    # Each jet variable is derived once per call and evaluated once per
-    # point; the memos of one point are cleared for the next.
-    derived: dict[JetVariable, _RatPoly] = {}
-    at: dict[JetVariable, int] = {}
-    after_at: dict[JetVariable, int] = {}
-    b_memo: dict = {}
+    # Each jet variable is derived once per instance and evaluated once per
+    # point: at, after_at and b_memo are the memos of the current point.
 
     def jet(v: JetVariable) -> int:
         r = at.get(v)
@@ -293,12 +327,14 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED) 
             r = after_at[var] = r % _P
         return r
 
+    drawn = 0
     for _ in range(_POINTS):
         for attempt in range(_RETRIES + 1):
-            point = tuple(_ratio(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n))
-            at.clear()
-            after_at.clear()
-            b_memo.clear()
+            if drawn == len(points):
+                point = tuple(_ratio(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n))
+                points.append((point, {}, {}, {}))
+            point, at, after_at, b_memo = points[drawn]
+            drawn += 1
             d0 = _value(den, jet)
             d1 = d0 and _value(den, after)
             if not d1:

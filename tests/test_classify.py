@@ -38,6 +38,7 @@ def test_spec_validation():
 def test_spec_json_errors_are_typed():
     terms = [{"vector": [1, 1], "coefficient": "1"}]
     for data in ({"dimension": "two", "maximal_terms": terms},
+                 {"dimension": 2.7, "maximal_terms": terms},
                  {"dimension": 2}, {"dimension": 2, "maximal_terms": [{"vector": [1, 1]}]}):
         with pytest.raises(ClassSpecError):
             ClassSpec.from_json(data)

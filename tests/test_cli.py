@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -17,8 +18,10 @@ from gaugeinv.cli import (
     main,
 )
 from gaugeinv.classify import class_operator
-from gaugeinv.grammar import parse_expr
+from gaugeinv.grammar import parse_expr, print_expr
+from gaugeinv.invariants import complete_set
 from gaugeinv.opalg import DiffOperator
+from gaugeinv.verify import DeltaContext, is_invariant
 
 import _fixtures as fx
 
@@ -84,38 +87,151 @@ def test_invariants_hypothesis_failure_exits_2(tmp_path, capsys):
     assert "not framed" in err
 
 
+XXY_TEMPLATES = {
+    "check_closure": True,
+    "stages": [
+        {
+            "templates": [{
+                "factors": [
+                    {"powers": [[1, 0]], "shift": "q"},
+                    {"powers": [[1, 0]], "shift": "q"},
+                    {"powers": [[0, 1]], "shift": "r"},
+                ],
+            }],
+            "targets": [[2, 0], [1, 1]],
+        },
+        {
+            "templates": [{
+                "factors": [
+                    {"powers": [[1, 0]], "shift": "s"},
+                    {"powers": [[0, 1]], "shift": "t"},
+                ],
+            }],
+            "targets": [[1, 0], [0, 1]],
+        },
+    ],
+}
+
+
+def write_templates(tmp_path, data, name="templates.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_invariants_with_template_file(tmp_path, capsys):
     path = write_spec(tmp_path, fx.spec_xxy())
-    tfile = tmp_path / "templates.json"
-    tfile.write_text(json.dumps({
-        "check_closure": True,
-        "stages": [
-            {
-                "templates": [{
-                    "factors": [
-                        {"powers": [[1, 0]], "shift": "q"},
-                        {"powers": [[1, 0]], "shift": "q"},
-                        {"powers": [[0, 1]], "shift": "r"},
-                    ],
-                }],
-                "targets": [[2, 0], [1, 1]],
-            },
-            {
-                "templates": [{
-                    "factors": [
-                        {"powers": [[1, 0]], "shift": "s"},
-                        {"powers": [[0, 1]], "shift": "t"},
-                    ],
-                }],
-                "targets": [[1, 0], [0, 1]],
-            },
-        ],
-    }))
-    code, out, _ = run(capsys, ["invariants", path, "--templates", str(tfile), "--verify"])
+    tfile = write_templates(tmp_path, XXY_TEMPLATES)
+    code, out, _ = run(capsys, ["invariants", path, "--templates", tfile, "--verify"])
     assert code == EXIT_OK
     data = json.loads(out)
     labels = [r["label"] for r in data["invariants"]]
     assert labels == ["I_{01}", "I_{10}", "I_{00}"]
+
+
+def test_second_call_prints_what_a_first_call_would(tmp_path, capsys):
+    # The parser is built once per process; nothing of one call's
+    # arguments may reach the next.
+    path = write_spec(tmp_path, fx.spec_xxy())
+    tfile = write_templates(tmp_path, XXY_TEMPLATES)
+    cli.build_parser.cache_clear()
+    first = run(capsys, ["invariants", path])
+    staged = run(capsys, ["invariants", path, "--templates", tfile, "--verify",
+                          "--seed", "3", "--format", "text"])
+    assert staged[0] == EXIT_OK
+    assert run(capsys, ["invariants", path]) == first
+
+
+# The help texts at 80 columns, as argparse printed them when every call
+# built its own parser.
+HELP_80 = {
+    (): """\
+usage: gaugeinv [-h] {analyze,invariants,gauge,verify} ...
+
+Gauge (Laplace) invariants of linear PDE operator classes.
+
+positional arguments:
+  {analyze,invariants,gauge,verify}
+    analyze             classify a class spec
+    invariants          construct invariants
+    gauge               gauge-transform an operator
+    verify              verify an expression over a class
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("invariants",): """\
+usage: gaugeinv invariants [-h] [--templates TEMPLATES] [--verify]
+                           [--seed SEED] [--format {json,latex,text}]
+                           spec
+
+positional arguments:
+  spec
+
+options:
+  -h, --help            show this help message and exit
+  --templates TEMPLATES
+                        staged template JSON file
+  --verify
+  --seed SEED
+  --format {json,latex,text}
+""",
+    ("verify",): """\
+usage: gaugeinv verify [-h] --expr EXPR [--seed SEED]
+                       [--format {json,latex,text}]
+                       spec
+
+positional arguments:
+  spec
+
+options:
+  -h, --help            show this help message and exit
+  --expr EXPR
+  --seed SEED
+  --format {json,latex,text}
+""",
+}
+
+
+@pytest.mark.parametrize("command", [(), ("analyze",), ("invariants",), ("gauge",),
+                                     ("verify",)])
+def test_help_is_the_same_from_a_cached_parser(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0] == HELP_80.get(command, texts[0])
+
+
+def test_invariants_verify_failure_prints_the_residual(tmp_path, capsys, monkeypatch):
+    def poisoned(spec):
+        records, audit = complete_set(spec)
+        last = records[-1]
+        bad = dataclasses.replace(last, expression=last.expression + parse_expr("a[0,0]", 2))
+        return records[:-1] + [bad], audit
+
+    monkeypatch.setattr(cli, "complete_set", poisoned)
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["invariants", path, "--verify"])
+    residual = is_invariant(parse_expr("a[0,0]", 2), DeltaContext.for_class(fx.spec_xxy()))[1]
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == f"verification failed for I_{{00}}: residual {print_expr(residual)}\n"
+
+
+def test_invariants_verify_numeric_failure_prints_no_residual(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "numeric_spot_check", lambda *args: False)
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["invariants", path, "--verify"])
+    first = complete_set(fx.spec_xxy())[0][0].label
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == f"verification failed for {first}: residual ?\n"
 
 
 def test_verify_invariant_expression(tmp_path, capsys):
@@ -196,6 +312,8 @@ def _with_factor(factor):
 BAD_INPUTS = {
     "dimension_not_int": ("analyze", {"dimension": "two", "maximal_terms": XY_TERMS}, [],
                           "malformed class spec"),
+    "dimension_fractional": ("analyze", {"dimension": 2.7, "maximal_terms": XY_TERMS}, [],
+                             "malformed class spec: dimension must be an integer"),
     "negative_vector": ("analyze", {"dimension": 2, "maximal_terms": [
         {"vector": [-1, 2], "coefficient": "1"}]}, [], "invalid maximal vector"),
     "vector_too_long": ("analyze", {"dimension": 2, "maximal_terms": [
@@ -211,6 +329,12 @@ BAD_INPUTS = {
     "gauge_in_template": ("templates", {"stages": [
         {"templates": [*STAGE_XY["templates"], {"factors": [{"powers": [], "shift": "g"}]}],
          "targets": STAGE_XY["targets"]}]}, [], "invariant I_{00} contains the gauge symbol"),
+    "target_wrong_length": ("templates", {"stages": [
+        {**STAGE_XY, "targets": [*STAGE_XY["targets"], [1, 0, 0]]}]}, [],
+        "malformed template file: expected dimension 2"),
+    "target_outside_lattice": ("templates", {"stages": [
+        {**STAGE_XY, "targets": [*STAGE_XY["targets"], [5, 5]]}]}, [],
+        "target (5, 5) is not in the class lattice"),
     "empty_operator": ("gauge", [], [], "empty operator"),
     "operator_without_coeff": ("gauge", [{"vector": [1, 0]}], [], "'coeff'"),
     "operator_with_gauge": ("gauge", [{"vector": [1, 1], "coeff": "1"},

@@ -26,6 +26,7 @@ from gaugeinv.jetalg import (
 from gaugeinv.verify import (
     DEFAULT_SEED,
     DeltaContext,
+    OracleDraws,
     UnknownCoefficientError,
     delta,
     is_invariant,
@@ -241,6 +242,48 @@ def test_numeric_spot_check_matches_reference(name):
             verdicts.append(got)
     # Records are invariant, a record plus a lone a_w is not.
     assert verdicts == [True, False] * len(records)
+
+
+@pytest.mark.parametrize("name", sorted(fx.ALL_CONSTRUCTIVE))
+def test_shared_draws_give_the_verdicts_of_single_checks(name, monkeypatch):
+    """Every record, and the last one plus a[0,...,0], with draws shared.
+
+    Each check must also compute the values, at the points, of a check on
+    its own: the verdicts alone would hide a change of points.
+    """
+    values = []
+    value = verify._value
+    monkeypatch.setattr(verify, "_value", lambda terms, jet: values.append(value(terms, jet))
+                        or values[-1])
+
+    def check(E, *args):
+        values.clear()
+        return numeric_spot_check(E, ctx, seed, *args), list(values)
+
+    ctx, records = _class_records(name)
+    seed = 11
+    draws = OracleDraws(ctx, seed)
+    last = records[-1].expression
+    exprs = [r.expression for r in records]
+    exprs.append(last + JetExpr.symbol(coeff_symbol((0,) * ctx.spec.dimension),
+                                       dim=ctx.spec.dimension))
+    shared = [check(E, draws) for E in exprs]
+    assert shared == [check(E) for E in exprs]
+    assert [verdict for verdict, _ in shared] == [True] * len(records) + [False]
+
+
+def test_shared_draws_draw_an_instance_per_symbol_set():
+    # a[2,1], the constant maximal coefficient of d_xxy, is in no class
+    # coefficient, so an expression holding it needs a second instance.
+    ctx = DeltaContext.for_class(fx.spec_xxy())
+    draws = OracleDraws(ctx, DEFAULT_SEED)
+    exprs = [P("2*a[2,0];[1,0] - a[1,1];[0,1]"), P("a[2,1]"), P("a[2,1] + a[1,0]"),
+             P("a[2,0]")]
+    shared = [numeric_spot_check(E, ctx, DEFAULT_SEED, draws) for E in exprs]
+    assert shared == [numeric_spot_check(E, ctx) for E in exprs] == [True, True, False, False]
+    assert len(draws._instances) == 2
+    with pytest.raises(ValueError):
+        numeric_spot_check(exprs[0], ctx, DEFAULT_SEED + 1, draws)
 
 
 def test_numeric_spot_check_gauges_the_operator_not_the_map():
