@@ -124,7 +124,8 @@ def latex_operator(L: DiffOperator) -> str:
 def load_templates(path: str, analysis: ClassAnalysis):
     """Parse a template file into (stages, stage_targets, check_closure).
 
-    Every target must be a vector of the class lattice.
+    Every target must be a vector of the class lattice, every integer and
+    boolean must be a JSON one, and no other top-level key is allowed.
     """
     dim = analysis.dimension
     with open(path) as fh:
@@ -132,25 +133,30 @@ def load_templates(path: str, analysis: ClassAnalysis):
     stages = []
     targets = []
     try:
+        unknown = sorted(set(data) - {"stages", "check_closure"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         for stage in data["stages"]:
             templates = []
             for t in stage["templates"]:
                 prefactor = parse_expr(str(t.get("prefactor", "1")), dim)
                 factors = []
                 for f in t["factors"]:
-                    powers = tuple(tuple(map(int, w)) for w in f["powers"])
+                    powers = tuple(tuple(w) for w in f["powers"])
                     for w in powers:
                         mi.check_index(w, dim)
                     shift = parse_expr(str(f.get("shift", "0")), dim)
                     factors.append(Factor(powers, shift))
                 templates.append(FactorTemplate(dim, tuple(factors), prefactor))
             stages.append(templates)
-            targets.append([tuple(map(int, v)) for v in stage["targets"]])
+            targets.append([tuple(v) for v in stage["targets"]])
             for v in targets[-1]:
                 mi.check_index(v, dim)
                 if v not in analysis.all_vectors:
                     raise OperatorSpecError(f"target {v} is not in the class lattice")
-        closure = bool(data.get("check_closure", False))
+        closure = data.get("check_closure", False)
+        if type(closure) is not bool:
+            raise TypeError(f"check_closure must be true or false, got {closure!r}")
     except ExprParseError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

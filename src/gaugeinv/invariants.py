@@ -720,13 +720,8 @@ def _lift_hyperbolic(expr: JetExpr, m: int) -> JetExpr:
         a0 = JetExpr.symbol(coeff_symbol(alpha + (0,)), dim=dim)
         return a0 - p * a1 - a1.derive(dim, dim)
 
-    cache: dict[JetVariable, JetExpr] = {}
-
     def value(var: JetVariable) -> JetExpr:
-        if var not in cache:
-            base = lifted(var.base.vector)
-            cache[var] = base.derive_multi(var.deriv + (0,))
-        return cache[var]
+        return lifted(var.base.vector).derive_multi(var.deriv + (0,))
 
     return jetalg.map_jets(expr, value)
 

@@ -12,6 +12,10 @@ only common monomial content and the denominator's leading coefficient
 (made +1, scale moved into the numerator).  Equality is decided exactly by
 cross-multiplication.
 
+A monomial keeps its factors in the natural tuple order, so merging sorts
+without a key function; the printed order is defined only by ``_mono_key``
+and ``Poly.sorted_terms``, which order the factors by ``_var_key``.
+
 Coefficients are exact rationals held as a plain ``int`` whenever they are
 integral and as a ``Fraction`` only otherwise; every operation hands back
 coefficients in that form.  Coefficients are divided only through
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .multiindex import MultiIndex, add as mi_add, order as mi_order, unit
@@ -84,8 +89,10 @@ def _var_key(v: JetVariable):
     return symbol_key(v.base) + (mi_order(v.deriv), v.deriv)
 
 
-# A monomial is a tuple of (JetVariable, exponent) pairs, sorted by _var_key,
-# exponents > 0.  The empty tuple is the constant monomial.
+# A monomial is a tuple of (JetVariable, exponent) pairs, exponents > 0,
+# sorted in natural tuple order.  That order never compares None with a
+# tuple: the kind of a symbol fixes which of vector and name is None, and
+# the kind is compared first.  The empty tuple is the constant monomial.
 Mono = tuple[tuple[JetVariable, int], ...]
 
 _ONE_MONO: Mono = ()
@@ -109,24 +116,13 @@ def _inverse(c) -> Fraction:
     return Fraction(1, c) if type(c) is int else 1 / c
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: dict[JetVariable, int] = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items(), key=lambda p: _var_key(p[0])))
-
-
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
 def _mono_key(m: Mono):
     """Canonical monomial order: graded, then by variable keys."""
-    return (-_mono_degree(m), tuple((_var_key(v), -e) for v, e in m))
+    return (-_mono_degree(m), tuple(sorted((_var_key(v), -e) for v, e in m)))
 
 
 class Poly:
@@ -154,7 +150,7 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(m == _ONE_MONO for m in self.terms)
+        return len(self.terms) < 2 and (not self.terms or _ONE_MONO in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.is_const():
@@ -181,10 +177,18 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if self is _ONE_POLY or other is _ONE_POLY:
+            return other if self is _ONE_POLY else self
         out: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                if m1 and m2:
+                    d = dict(m1)
+                    for v, e in m2:
+                        d[v] = d.get(v, 0) + e
+                    m = tuple(sorted(d.items()))
+                else:
+                    m = m1 or m2
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
@@ -208,11 +212,12 @@ class Poly:
         out: dict[Mono, int | Fraction] = {}
         ei = unit(dim, i)
         for mono, c in self.terms.items():
-            for idx, (v, e) in enumerate(mono):
+            for v, e in mono:
                 dv = JetVariable(v.base, mi_add(v.deriv, ei))
-                # dropping or lowering one factor keeps the rest sorted
-                lower = ((v, e - 1),) if e > 1 else ()
-                m = _mono_mul(mono[:idx] + lower + mono[idx + 1:], ((dv, 1),))
+                d = dict(mono)
+                d[v] -= 1
+                d[dv] = d.get(dv, 0) + 1
+                m = tuple(sorted(f for f in d.items() if f[1]))
                 s = out.get(m, 0) + c * e
                 if s:
                     out[m] = s
@@ -224,7 +229,9 @@ class Poly:
         return {v for m in self.terms for v, _ in m}
 
     def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda p: _mono_key(p[0]))
+        """The terms in canonical order, each with its factors by _var_key."""
+        return [(tuple(sorted(m, key=lambda f: _var_key(f[0]))), c)
+                for m, c in sorted(self.terms.items(), key=lambda p: _mono_key(p[0]))]
 
 
 _ONE_POLY = Poly.const(1)
@@ -242,7 +249,8 @@ def _mono_content(polys: list[Poly]) -> Mono:
                 common = {v: min(e, d[v]) for v, e in common.items() if v in d}
             if not common:
                 return _ONE_MONO
-    return tuple(sorted((common or {}).items(), key=lambda p: _var_key(p[0])))
+    # the factors of a monomial, filtered in order, stay sorted
+    return tuple((common or {}).items())
 
 
 def _mono_divide(p: Poly, m: Mono) -> Poly:
@@ -251,12 +259,8 @@ def _mono_divide(p: Poly, m: Mono) -> Poly:
     md = dict(m)
     out = {}
     for mono, c in p.terms.items():
-        d = dict(mono)
-        for v, e in md.items():
-            d[v] -= e
-            if d[v] == 0:
-                del d[v]
-        out[tuple(sorted(d.items(), key=lambda q: _var_key(q[0])))] = c
+        # lowering or dropping factors keeps the rest sorted
+        out[tuple((v, e - md.get(v, 0)) for v, e in mono if e != md.get(v))] = c
     return Poly(out)
 
 
@@ -411,35 +415,69 @@ def substitute(e: JetExpr, bindings: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
     """
     if not bindings or e.base_symbols().isdisjoint(bindings):
         return e
-    cache: dict[JetVariable, JetExpr] = {}
 
     def value(v: JetVariable) -> JetExpr:
         if v.base not in bindings:
             return JetExpr(Poly.var(v))
-        if v not in cache:
-            cache[v] = bindings[v.base].derive_multi(v.deriv)
-        return cache[v]
+        return bindings[v.base].derive_multi(v.deriv)
 
     return map_jets(e, value)
 
 
 def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
-    """The ring map sending each jet variable v of e to value(v).
+    """The ring map sending each jet variable v of e to value(v), called once per v.
 
-    Numerator and denominator are mapped term by term, in term order, and
-    the two images divided.
+    Numerator and denominator are mapped apart and divided.  When every image
+    has the denominator 1 or a monomial, a polynomial is mapped in one pass
+    over the monomial lcm M of its term denominators: each term c * prod v^k
+    adds c * prod num(v)^k * (M / prod den(v)^k) to one numerator over M.
+    That is canonical, since over a monomial denominator the normal form is
+    the reduced fraction, whatever the order of summation.  An image with a
+    denominator of several terms makes the normal form depend on that order:
+    then the terms are mapped and added one at a time, in term order.
     """
+    images = {v: value(v) for v in e.variables()}
+    if any(len(x.den.terms) > 1 for x in images.values()):
+        def apply(p: Poly) -> JetExpr:
+            total = ZERO
+            for mono, c in p.terms.items():
+                t = JetExpr.const(c)
+                for v, k in mono:
+                    t = t * images[v] ** k
+                total = total + t
+            return total
+    else:
+        dens = {v: next(iter(x.den.terms)) for v, x in images.items()}
+        # num(v)^k for this call; no recursive closure, whose reference
+        # cycle would keep every image alive until a cyclic collection
+        powers: dict[tuple[JetVariable, int], Poly] = {}
 
-    def apply_poly(p: Poly) -> JetExpr:
-        total = ZERO
-        for mono, c in p.terms.items():
-            t = JetExpr.const(c)
-            for v, exp in mono:
-                t = t * value(v) ** exp
-            total = total + t
-        return total
+        def apply(p: Poly) -> JetExpr:
+            term_dens = []
+            lcm: dict[JetVariable, int] = {}
+            for mono in p.terms:
+                d: dict[JetVariable, int] = {}
+                for v, k in mono:
+                    for w, j in dens[v]:
+                        d[w] = d.get(w, 0) + j * k
+                term_dens.append(d)
+                for w, j in d.items():
+                    lcm[w] = max(j, lcm.get(w, 0))
+            out: dict[Mono, int | Fraction] = {}
+            for (mono, c), d in zip(p.terms.items(), term_dens):
+                t = Poly({tuple(sorted((w, j - d.get(w, 0)) for w, j in lcm.items()
+                                       if j != d.get(w))): c})
+                for v, k in mono:
+                    if (v, k) not in powers:
+                        powers[v, k] = prod([images[v].num] * k, start=_ONE_POLY)
+                    t = t * powers[v, k]
+                for m, x in t.terms.items():
+                    out[m] = out.get(m, 0) + x
+            out = {m: x for m, x in out.items() if x}
+            return JetExpr(Poly(_settle(out)), Poly({tuple(sorted(lcm.items())): 1}))
 
-    return apply_poly(e.num) / apply_poly(e.den)
+    num = apply(e.num)
+    return num if e.den is _ONE_POLY else num / apply(e.den)
 
 
 def linear_parts(e: JetExpr, base: BaseSymbol) -> tuple[JetExpr, JetExpr]:

@@ -18,7 +18,7 @@ class DimensionMismatchError(ValueError):
 
 
 def check_index(v: MultiIndex, dim: int | None = None) -> None:
-    if not all(isinstance(x, int) and x >= 0 for x in v):
+    if not all(type(x) is int and x >= 0 for x in v):
         raise ValueError(f"multi-index entries must be nonnegative ints: {v!r}")
     if dim is not None and len(v) != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v!r}")

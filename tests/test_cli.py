@@ -335,6 +335,19 @@ BAD_INPUTS = {
     "target_outside_lattice": ("templates", {"stages": [
         {**STAGE_XY, "targets": [*STAGE_XY["targets"], [5, 5]]}]}, [],
         "target (5, 5) is not in the class lattice"),
+    "target_fractional": ("templates", {"stages": [
+        {**STAGE_XY, "targets": [[1.2, 0], [0, 1]]}]}, [],
+        "malformed template file: multi-index entries must be nonnegative ints"),
+    "power_fractional": ("templates", {"stages": [
+        {**STAGE_XY, "templates": [{"factors": [{"powers": [[1.7, 0]], "shift": "p"},
+                                                {"powers": [[0, 1]], "shift": "q"}]}]}]}, [],
+        "malformed template file: multi-index entries must be nonnegative ints"),
+    "check_closure_not_bool": ("templates", {"check_closure": "no", "stages": [STAGE_XY]}, [],
+                               "malformed template file: check_closure must be true or false"),
+    "unknown_template_key": ("templates", {"stages": [STAGE_XY], "stage": [STAGE_XY]}, [],
+                             "malformed template file: unknown keys ['stage']"),
+    "vector_bool": ("analyze", {"dimension": 2, "maximal_terms": [
+        {"vector": [True, 1], "coefficient": "1"}]}, [], "invalid maximal vector"),
     "empty_operator": ("gauge", [], [], "empty operator"),
     "operator_without_coeff": ("gauge", [{"vector": [1, 0]}], [], "'coeff'"),
     "operator_with_gauge": ("gauge", [{"vector": [1, 1], "coeff": "1"},

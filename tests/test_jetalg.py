@@ -4,13 +4,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaugeinv.grammar import parse_expr
+from gaugeinv.grammar import parse_expr, print_expr
 from gaugeinv.jetalg import (
     JetExpr,
     JetVariable,
     NotLinearError,
     ONE,
+    Poly,
     ZERO,
     coeff_symbol,
     equal,
@@ -232,3 +234,110 @@ def test_symbol_key_orders_by_kind_vector_name():
         coeff_symbol((0, 1)), coeff_symbol((1, 0)), gauge_symbol(),
         param_symbol("p"), param_symbol("q"),
     ]
+
+
+# One expression over coefficient, gauge and parameter symbols and their
+# derived jets.  Inside jetalg a monomial keeps its factors in natural tuple
+# order, which puts a[1,0];[0,2] before a[1,0];[1,0]; the printers use the
+# graded order of _var_key.  The pinned string is what gaugeinv printed when
+# monomials were still stored in that graded order.
+MIXED_TEXT = ("(a[1,0];[0,2]*a[1,0];[1,0]^2*p + g;[0,1]*p;[1,1]*a[0,1]"
+              " - 3*p;[2,0]*a[0,1]*g;[1,0]^2*g + a[1,0]*p;[0,1]^2/2"
+              " - a[0,1];[1,1]*a[0,1];[2,0]*a[0,1] + 7)"
+              "/(a[1,0];[1,0]*a[1,0];[0,2]^2*p;[0,1])")
+MIXED_PRINTED = ("(-3*a[0,1]*g*g;[1,0]^2*p;[2,0] + a[1,0];[1,0]^2*a[1,0];[0,2]*p"
+                 " - a[0,1]*a[0,1];[1,1]*a[0,1];[2,0] + a[0,1]*g;[0,1]*p;[1,1]"
+                 " + 1/2*a[1,0]*p;[0,1]^2 + 7)/(a[1,0];[1,0]*a[1,0];[0,2]^2*p;[0,1])")
+
+
+def test_print_order_does_not_depend_on_the_order_of_arithmetic():
+    def P(text):
+        return parse_expr(text, 2)
+
+    parsed = P(MIXED_TEXT)
+    # the same terms, added last first, each multiplied factor by factor
+    terms = [P("p") * P("a[1,0];[1,0]") * P("a[1,0];[1,0]") * P("a[1,0];[0,2]"),
+             P("a[0,1]") * P("p;[1,1]") * P("g;[0,1]"),
+             P("g") * P("g;[1,0]") * P("g;[1,0]") * P("a[0,1]") * P("p;[2,0]").scale(-3),
+             P("p;[0,1]") * P("p;[0,1]") * P("a[1,0]").scale(Fraction(1, 2)),
+             -(P("a[0,1]") * P("a[0,1];[2,0]") * P("a[0,1];[1,1]")),
+             JetExpr.const(7)]
+    num = ZERO
+    for t in terms:
+        num = t + num
+    built = num / (P("p;[0,1]") * P("a[1,0];[0,2]") * P("a[1,0];[1,0]") * P("a[1,0];[0,2]"))
+    for e in (parsed, built):
+        assert print_expr(e) == MIXED_PRINTED
+        mono, c = e.num.leading()
+        assert ({v.text(): k for v, k in mono}, c) == (
+            {"a[0,1]": 1, "g": 1, "g;[1,0]": 2, "p;[2,0]": 1}, -3)
+    assert parse_expr(MIXED_PRINTED, 2) == parsed
+
+
+def _map_jets_by_terms(e, value):
+    """The reference ring map: every term mapped to a JetExpr, added in term order."""
+    def apply_poly(p):
+        total = ZERO
+        for mono, c in p.terms.items():
+            t = JetExpr.const(c)
+            for v, exp in mono:
+                t = t * value(v) ** exp
+            total = total + t
+        return total
+
+    return apply_poly(e.num) / apply_poly(e.den)
+
+
+JETS = [JetVariable(coeff_symbol((1, 0)), (0, 0)), JetVariable(coeff_symbol((1, 0)), (1, 0)),
+        JetVariable(coeff_symbol((0, 1)), (0, 0)), JetVariable(gauge_symbol(), (0, 1)),
+        JetVariable(param_symbol("p"), (0, 0))]
+
+
+@st.composite
+def _monomials(draw, min_degree=0):
+    """A product of at most two of JETS."""
+    t = ONE
+    for v in draw(st.lists(st.sampled_from(JETS), min_size=min_degree, max_size=2)):
+        t = t * JetExpr(Poly.var(v))
+    return t
+
+
+@st.composite
+def _polys(draw):
+    total = ZERO
+    for _ in range(draw(st.integers(0, 2))):
+        c = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3)))
+        total = total + draw(_monomials()).scale(c)
+    return total
+
+
+@st.composite
+def _fractions(draw, kinds=("one", "monomial", "two terms")):
+    """num/den with a denominator of 1, a monomial or two terms."""
+    num = draw(_polys())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "one":
+        return num
+    den = draw(_monomials(min_degree=1))
+    if kind == "two terms":
+        den = den + JetExpr.const(draw(st.integers(1, 3)))
+    return num / den
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_fractions(), _monomials(min_degree=1),
+       st.sampled_from([("monomial",), ("one", "monomial"), ("one", "monomial", "two terms")]),
+       st.data())
+def test_map_jets_matches_the_term_by_term_map(e, extra, kinds, data):
+    e = e + extra  # e mentions at least one jet
+    images = {v: data.draw(_fractions(kinds)) for v in JETS}
+    try:
+        want = _map_jets_by_terms(e, images.__getitem__)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            map_jets(e, images.__getitem__)
+        return
+    got = map_jets(e, images.__getitem__)
+    assert equal(got, want)
+    if all(len(images[v].den.terms) == 1 for v in e.variables()):
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
