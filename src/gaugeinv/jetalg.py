@@ -15,6 +15,9 @@ cross-multiplication.
 A monomial keeps its factors in the natural tuple order, so merging sorts
 without a key function; the printed order is defined only by ``_mono_key``
 and ``Poly.sorted_terms``, which order the factors by ``_var_key``.
+Only ``map_jets`` packs monomials into ints, in an encoding local to one call
+(a bit field per variable, too wide to carry) with the coefficients as
+integers over one common denominator; only ``Mono`` tuples leave it.
 
 Coefficients are exact rationals held as a plain ``int`` whenever they are
 integral and as a ``Fraction`` only otherwise; every operation hands back
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .multiindex import MultiIndex, add as mi_add, order as mi_order, unit
@@ -432,9 +435,15 @@ def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
     over the monomial lcm M of its term denominators: each term c * prod v^k
     adds c * prod num(v)^k * (M / prod den(v)^k) to one numerator over M.
     That is canonical, since over a monomial denominator the normal form is
-    the reduced fraction, whatever the order of summation.  An image with a
-    denominator of several terms makes the normal form depend on that order:
-    then the terms are mapped and added one at a time, in term order.
+    the reduced fraction, whatever the order of summation.  The pass packs
+    each monomial into an int, in an encoding local to this call (a bit field
+    per variable of the images, as wide as twice the largest sum
+    k * (deg num(v) + deg den(v)) over the terms, so no field can carry), and
+    sums integer coefficients over one common denominator; when every image
+    is one term, each term maps to one term and nothing is packed.  The terms
+    keep the order of the chain of ``Poly.__mul__`` products.  An image with
+    a denominator of several terms makes the normal form depend on the order
+    of summation: then the terms are mapped and added one at a time.
     """
     images = {v: value(v) for v in e.variables()}
     if any(len(x.den.terms) > 1 for x in images.values()):
@@ -446,35 +455,95 @@ def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
                     t = t * images[v] ** k
                 total = total + t
             return total
+    elif all(len(x.num.terms) < 2 for x in images.values()):
+        def apply(p: Poly) -> JetExpr:
+            rows, lcm_den = [], {}
+            for mono, c in p.terms.items():
+                num, den = {}, {}
+                for v, k in mono:
+                    (m, cv), = images[v].num.terms.items() or [((), 0)]  # 0 zeroes the term
+                    c *= cv ** k
+                    for w, j in m:
+                        num[w] = num.get(w, 0) + j * k
+                    for w, j in next(iter(images[v].den.terms)):
+                        den[w] = den.get(w, 0) + j * k
+                        lcm_den[w] = max(den[w], lcm_den.get(w, 0))
+                rows.append((num, den, c))
+            out: dict[Mono, int | Fraction] = {}
+            for num, den, c in rows:
+                if c:
+                    for w, j in lcm_den.items():
+                        num[w] = num.get(w, 0) + j - den.get(w, 0)
+                    m = tuple(sorted([f for f in num.items() if f[1]]))
+                    out[m] = out.get(m, 0) + c
+            return JetExpr(Poly(_settle({m: x for m, x in out.items() if x})),
+                           Poly({tuple(sorted(lcm_den.items())): 1}))
     else:
-        dens = {v: next(iter(x.den.terms)) for v, x in images.items()}
-        # num(v)^k for this call; no recursive closure, whose reference
-        # cycle would keep every image alive until a cyclic collection
-        powers: dict[tuple[JetVariable, int], Poly] = {}
+        names, under, weight = set(), set(), {}
+        for v, x in images.items():
+            (den,) = x.den.terms
+            names.update(*x.num.terms, den)
+            under.update(den)
+            weight[v] = max(map(_mono_degree, x.num.terms), default=0) + _mono_degree(den)
+        order = sorted({w for w, _ in names})
+        width = (2 * max([sum([weight[v] * k for v, k in m])
+                          for m in (*e.num.terms, *e.den.terms)])).bit_length()
+        index = {w: i for i, w in enumerate(order)}
+        code = {f: f[1] << index[f[0]] * width for f in names}
+        mask = (1 << width) - 1
+        dens, scales, nums, powers = {}, {}, {}, {}  # num(v) = nums[v] / scales[v]
+        for v, x in images.items():
+            dens[v] = sum(map(code.__getitem__, next(iter(x.den.terms))))
+            scales[v] = q = lcm(*[c.denominator for c in x.num.terms.values()])
+            nums[v] = {sum(map(code.__getitem__, m)): c.numerator * (q // c.denominator)
+                       for m, c in x.num.terms.items()}
+
+        def decode(m: int) -> Mono:
+            out = []
+            while m:  # lowest set field first, which is natural order
+                i = ((m & -m).bit_length() - 1) // width
+                out.append((order[i], m >> i * width & mask))
+                m &= ~(mask << i * width)
+            return tuple(out)
+
+        def times(a: dict, b: dict) -> dict:  # Poly.__mul__, term order included
+            if len(b) == 1:
+                (m2, c2), = b.items()
+                return {m + m2: c * c2 for m, c in a.items()}
+            out = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    s = out.get(m1 + m2, 0) + c1 * c2
+                    if s:
+                        out[m1 + m2] = s
+                    else:
+                        del out[m1 + m2]
+            return out
 
         def apply(p: Poly) -> JetExpr:
-            term_dens = []
-            lcm: dict[JetVariable, int] = {}
-            for mono in p.terms:
-                d: dict[JetVariable, int] = {}
+            rows = []  # per term: its denominator, packed, and its integer one
+            for mono, c in p.terms.items():
+                d, q = 0, c.denominator
                 for v, k in mono:
-                    for w, j in dens[v]:
-                        d[w] = d.get(w, 0) + j * k
-                term_dens.append(d)
-                for w, j in d.items():
-                    lcm[w] = max(j, lcm.get(w, 0))
-            out: dict[Mono, int | Fraction] = {}
-            for (mono, c), d in zip(p.terms.items(), term_dens):
-                t = Poly({tuple(sorted((w, j - d.get(w, 0)) for w, j in lcm.items()
-                                       if j != d.get(w))): c})
-                for v, k in mono:
-                    if (v, k) not in powers:
-                        powers[v, k] = prod([images[v].num] * k, start=_ONE_POLY)
-                    t = t * powers[v, k]
-                for m, x in t.terms.items():
+                    d += dens[v] * k
+                    q *= scales[v] ** k
+                rows.append((d, q))
+            top = sum([max([d >> i * width & mask for d, _ in rows]) << i * width
+                       for i in {index[w] for w, _ in under}]) if under else 0
+            common = lcm(*[q for _, q in rows])
+            out: dict[int, int] = {}
+            for (mono, c), (d, q) in zip(p.terms.items(), rows):
+                t = {top - d: c.numerator * (common // q)}
+                for f in mono:
+                    if f not in powers:
+                        powers[f] = nums[f[0]]
+                        for _ in range(f[1] - 1):
+                            powers[f] = times(powers[f], nums[f[0]])
+                    t = times(t, powers[f])
+                for m, x in t.items():
                     out[m] = out.get(m, 0) + x
-            out = {m: x for m, x in out.items() if x}
-            return JetExpr(Poly(_settle(out)), Poly({tuple(sorted(lcm.items())): 1}))
+            return JetExpr(Poly({decode(m): x if common == 1 else _exact(Fraction(x, common))
+                                 for m, x in out.items() if x}), Poly({decode(top): 1}))
 
     num = apply(e.num)
     return num if e.den is _ONE_POLY else num / apply(e.den)

@@ -288,6 +288,50 @@ def _map_jets_by_terms(e, value):
     return apply_poly(e.num) / apply_poly(e.den)
 
 
+def _map_jets_by_products(e, value):
+    """The reference for the term order: one chain of Poly products per term,
+    over the monomial lcm of the term denominators (monomial image
+    denominators only)."""
+    images = {v: value(v) for v in e.variables()}
+
+    def apply_poly(p):
+        term_dens, lcm = [], {}
+        for mono in p.terms:
+            d = {}
+            for v, k in mono:
+                for w, j in next(iter(images[v].den.terms)):
+                    d[w] = d.get(w, 0) + j * k
+            term_dens.append(d)
+            for w, j in d.items():
+                lcm[w] = max(j, lcm.get(w, 0))
+        out = {}
+        for (mono, c), d in zip(p.terms.items(), term_dens):
+            shift = tuple(sorted((w, j - d.get(w, 0)) for w, j in lcm.items() if j != d.get(w)))
+            t = Poly({shift: c})
+            for v, k in mono:
+                power = images[v].num
+                for _ in range(k - 1):
+                    power = power * images[v].num
+                t = t * power
+            for m, x in t.terms.items():
+                out[m] = out.get(m, 0) + x
+        return JetExpr(Poly({m: x for m, x in out.items() if x}),
+                       Poly({tuple(sorted(lcm.items())): 1}))
+
+    num = apply_poly(e.num)
+    return num if e.den.is_const() else num / apply_poly(e.den)
+
+
+def _assert_same_map(got, e, images):
+    """got equals the term-by-term map, with the terms of the chain of products in its order."""
+    want = _map_jets_by_terms(e, images.__getitem__)
+    assert equal(got, want)
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+    chain = _map_jets_by_products(e, images.__getitem__)
+    assert list(got.num.terms.items()) == list(chain.num.terms.items())
+    assert list(got.den.terms.items()) == list(chain.den.terms.items())
+
+
 JETS = [JetVariable(coeff_symbol((1, 0)), (0, 0)), JetVariable(coeff_symbol((1, 0)), (1, 0)),
         JetVariable(coeff_symbol((0, 1)), (0, 0)), JetVariable(gauge_symbol(), (0, 1)),
         JetVariable(param_symbol("p"), (0, 0))]
@@ -340,4 +384,47 @@ def test_map_jets_matches_the_term_by_term_map(e, extra, kinds, data):
     got = map_jets(e, images.__getitem__)
     assert equal(got, want)
     if all(len(images[v].den.terms) == 1 for v in e.variables()):
-        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+        _assert_same_map(got, e, images)
+
+
+def _jet(i, j):
+    return JetVariable(coeff_symbol((i, j)), (0, 0))
+
+
+# Edge cases of the one-pass map.  In natural order a[0,2] < a[1,1] < a[2,0].
+X, Y, U, V = _jet(1, 0), _jet(0, 1), _jet(2, 0), _jet(1, 1)
+MAP_EDGES = {
+    "zero image": (a(1, 0) * a(0, 1) + a(0, 1) * a(0, 1), {X: ZERO, Y: a(1, 1) + ONE}),
+    "every image zero": (a(1, 0) + a(0, 1), {X: ZERO, Y: ZERO}),
+    "constant expression": (JetExpr.const(Fraction(3, 2)), {}),
+    "constant image": (a(1, 0) ** 2 * a(0, 1) - a(0, 1), {X: JetExpr.const(Fraction(5, 3)),
+                                                          Y: a(2, 0) / a(1, 1)}),
+    # Packed, the heavier term weighs 5 (1 + 4).  The term a[1,0] maps to
+    # a[0,2]^4 times a[0,2]^4 from the common denominator: an exponent of 8
+    # needs 4 bits, as (2 * 5).bit_length() gives, while (5).bit_length() is 3.
+    "exponents up to twice the weight": (a(1, 0) + a(0, 1), {X: a(0, 2) ** 4,
+                                                            Y: a(2, 0) / a(0, 2) ** 4}),
+    "coprime denominators": (
+        a(1, 0).scale(Fraction(1, 3)) + a(0, 1) ** 2 * a(1, 0).scale(Fraction(2, 5)),
+        {X: a(2, 0).scale(Fraction(1, 2)) + a(1, 1).scale(Fraction(3, 7)),
+         Y: a(0, 2).scale(Fraction(5, 11)) - ONE.scale(Fraction(1, 13))}),
+    # x*y comes +1, -1 (deleted), +1 (inserted again, so last): the order of
+    # Poly.__mul__, which the merge must keep
+    "a product term cancelled and met again": (
+        a(1, 0) * a(0, 1), {X: a(1, 1) + a(0, 2) + ONE, Y: a(0, 2) - a(1, 1) + a(1, 1) * a(0, 2)}),
+    # the zeroed first term must not place a[0,2] ahead of a[2,2]
+    "a zero image before a term of the same image": (
+        a(1, 0) * a(0, 1) + a(2, 0) + a(1, 1), {X: ZERO, Y: a(0, 2), U: a(2, 2), V: a(0, 2)}),
+    "denominator held by another numerator": (
+        (a(1, 0) * a(0, 1) + a(1, 0) ** 2) / a(0, 1),
+        {X: a(1, 1) / a(2, 0), Y: a(2, 0) ** 2 + a(1, 1)}),
+}
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["as given", "with a two-term image"])
+@pytest.mark.parametrize("case", sorted(MAP_EDGES))
+def test_map_jets_edge_cases_match_the_term_by_term_map(case, packed):
+    e, images = MAP_EDGES[case]
+    if packed:  # an image of two terms sends the map through the packed encoding
+        e, images = e + a(2, 2), {**images, _jet(2, 2): a(1, 1) + a(0, 2)}
+    _assert_same_map(map_jets(e, images.__getitem__), e, images)
