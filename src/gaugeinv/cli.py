@@ -37,6 +37,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from . import multiindex as mi
 from .classify import ClassAnalysis, ClassSpec, analyze
@@ -169,11 +170,12 @@ def load_templates(path: str, analysis: ClassAnalysis):
 # ---------------------------------------------------------------------------
 
 
-def _emit(payload: dict, fmt: str, latex_lines: list[str]) -> None:
+def _emit(payload: dict, fmt: str, latex_lines: Callable[[], list[str]]) -> None:
+    """Print payload in fmt; latex_lines builds the LaTeX lines, only when printed."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "latex":
-        for line in latex_lines:
+        for line in latex_lines():
             print(line)
     else:
         _emit_text(payload)
@@ -198,7 +200,7 @@ def cmd_analyze(args) -> int:
     spec = ClassSpec.load(args.spec)
     an = analyze(spec)
     payload = an.to_json()
-    _emit(payload, args.format, [json.dumps(payload)])
+    _emit(payload, args.format, lambda: [json.dumps(payload)])
     if not (an.approximately_flat and an.framed):
         return EXIT_HYPOTHESIS
     return EXIT_OK
@@ -229,11 +231,10 @@ def cmd_invariants(args) -> int:
                 )
                 return EXIT_VERIFY
     payload = {"invariants": [r.to_json() for r in records], "audit": audit}
-    latex_lines = [
+    _emit(payload, args.format, lambda: [
         f"{r.label} &= {latex_expr(r.expression, spec.dimension)} \\\\"
         for r in records
-    ]
-    _emit(payload, args.format, latex_lines)
+    ])
     return EXIT_OK
 
 
@@ -245,7 +246,7 @@ def cmd_gauge(args) -> int:
         g_expr = parse_expr(args.g, L.dim)
         gauged = gauged.substitute({gauge_symbol(): g_expr})
     payload = {"operator": gauged.to_json()}
-    _emit(payload, args.format, [latex_operator(gauged)])
+    _emit(payload, args.format, lambda: [latex_operator(gauged)])
     return EXIT_OK
 
 
@@ -254,7 +255,7 @@ def cmd_verify(args) -> int:
     E = parse_expr(args.expr, spec.dimension)
     ctx = DeltaContext.for_class(spec)
     rep = report(E, ctx, seed=args.seed)
-    _emit(rep, args.format, [latex_expr(E, spec.dimension)])
+    _emit(rep, args.format, lambda: [latex_expr(E, spec.dimension)])
     if not rep["invariant"]:
         return EXIT_VERIFY
     return EXIT_OK

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import jetalg
 from . import multiindex as mi
-from .classify import ClassAnalysis, ClassSpec, analyze, class_operator, phi
+from .classify import ClassAnalysis, ClassSpec, ClassSpecError, analyze, class_operator, phi
 from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
@@ -196,7 +196,7 @@ def _strip_content(e: JetExpr) -> JetExpr:
     content = Fraction(num_gcd, den_lcm)
     # sign convention: positive constant term if there is one, else a
     # positive leading monomial (so 1 - 2ab stays put but -a becomes a)
-    anchor = () if () in e.num.terms else min(e.num.terms, key=jetalg._mono_key)
+    anchor = () if () in e.num.terms else e.num.leading()[0]
     if e.num.terms[anchor] < 0:
         content = -content
     return e / JetExpr.const(content)
@@ -252,7 +252,10 @@ def _gauss_solve(
 
 
 def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
-    """Determine grad g from the framing set's Delta-equations."""
+    """Determine grad g from the framing set's Delta-equations.
+
+    Raises ClassSpecError when a class parameter is named like a parameter
+    of the construction (c_i, D_s, p_u or q_w), as it would be that symbol."""
     if not analysis.approximately_flat:
         raise NotApproximatelyFlatError("class is not approximately flat")
     if not analysis.framed:
@@ -268,6 +271,14 @@ def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
     residual = tuple(
         s for s in mi.sort_canonical(analysis.submaximal_set) if s not in chosen
     )
+    own = {_c_param(i) for i in range(1, analysis.dimension + 1)}
+    own |= {delta_symbol(s) for s in analysis.submaximal_set}
+    own |= {_p_param(u) for u in residual} | {_q_param(w) for w in analysis.interior_set}
+    clash = sorted(s.text() for s in own & analysis.spec.parameters)
+    if clash:
+        raise ClassSpecError(
+            f"class parameter {', '.join(clash)} is also a parameter of the construction"
+        )
     return GradientSolution(
         analysis, chosen, tuple(gradient), residual, _dedupe(assumptions)
     )

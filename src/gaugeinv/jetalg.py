@@ -17,7 +17,9 @@ without a key function; the printed order is defined only by ``_mono_key``
 and ``Poly.sorted_terms``, which order the factors by ``_var_key``.
 Only ``map_jets`` packs monomials into ints, in an encoding local to one call
 (a bit field per variable, too wide to carry) with the coefficients as
-integers over one common denominator; only ``Mono`` tuples leave it.
+integers over one common denominator; only ``Mono`` tuples leave it.  Its term
+loop serves denominators of several terms, where the order of summation fixes
+the normal form, and all-one-term images, where packing costs more than it saves.
 
 Coefficients are exact rationals held as a plain ``int`` whenever they are
 integral and as a ``Fraction`` only otherwise; every operation hands back
@@ -430,54 +432,37 @@ def substitute(e: JetExpr, bindings: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
 def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
     """The ring map sending each jet variable v of e to value(v), called once per v.
 
-    Numerator and denominator are mapped apart and divided.  When every image
-    has the denominator 1 or a monomial, a polynomial is mapped in one pass
-    over the monomial lcm M of its term denominators: each term c * prod v^k
-    adds c * prod num(v)^k * (M / prod den(v)^k) to one numerator over M.
-    That is canonical, since over a monomial denominator the normal form is
-    the reduced fraction, whatever the order of summation.  The pass packs
-    each monomial into an int, in an encoding local to this call (a bit field
-    per variable of the images, as wide as twice the largest sum
-    k * (deg num(v) + deg den(v)) over the terms, so no field can carry), and
-    sums integer coefficients over one common denominator; when every image
-    is one term, each term maps to one term and nothing is packed.  The terms
-    keep the order of the chain of ``Poly.__mul__`` products.  An image with
-    a denominator of several terms makes the normal form depend on the order
-    of summation: then the terms are mapped and added one at a time.
+    Numerator and denominator are mapped apart and divided, each on one of
+    two paths.  The term loop maps the terms c * prod v^k one at a time and
+    adds them in order.  It serves images with a denominator of several
+    terms, where the order of summation fixes the normal form, and images
+    that are all one term, where each term maps to one term over a monomial
+    denominator (whose normal form is the reduced fraction) and packing
+    costs more than it saves.  Otherwise every image denominator is 1 or a
+    monomial, and a polynomial is mapped in one pass over the monomial lcm M
+    of its term denominators, each term adding c * prod num(v)^k *
+    (M / prod den(v)^k) to one numerator over M.  That pass packs monomials
+    into ints, in an encoding local to this call (a bit field per variable of
+    the images, as wide as twice the largest sum k * (deg num(v) + deg den(v))
+    over the terms, so no field can carry), sums integer coefficients over
+    one common denominator and keeps the term order of the chain of
+    ``Poly.__mul__`` products.
     """
     images = {v: value(v) for v in e.variables()}
-    if any(len(x.den.terms) > 1 for x in images.values()):
+    if (any(len(x.den.terms) > 1 for x in images.values())
+            or all(len(x.num.terms) < 2 for x in images.values())):
         def apply(p: Poly) -> JetExpr:
-            total = ZERO
+            total = None
             for mono, c in p.terms.items():
-                t = JetExpr.const(c)
+                t = None
                 for v, k in mono:
-                    t = t * images[v] ** k
-                total = total + t
-            return total
-    elif all(len(x.num.terms) < 2 for x in images.values()):
-        def apply(p: Poly) -> JetExpr:
-            rows, lcm_den = [], {}
-            for mono, c in p.terms.items():
-                num, den = {}, {}
-                for v, k in mono:
-                    (m, cv), = images[v].num.terms.items() or [((), 0)]  # 0 zeroes the term
-                    c *= cv ** k
-                    for w, j in m:
-                        num[w] = num.get(w, 0) + j * k
-                    for w, j in next(iter(images[v].den.terms)):
-                        den[w] = den.get(w, 0) + j * k
-                        lcm_den[w] = max(den[w], lcm_den.get(w, 0))
-                rows.append((num, den, c))
-            out: dict[Mono, int | Fraction] = {}
-            for num, den, c in rows:
-                if c:
-                    for w, j in lcm_den.items():
-                        num[w] = num.get(w, 0) + j - den.get(w, 0)
-                    m = tuple(sorted([f for f in num.items() if f[1]]))
-                    out[m] = out.get(m, 0) + c
-            return JetExpr(Poly(_settle({m: x for m, x in out.items() if x})),
-                           Poly({tuple(sorted(lcm_den.items())): 1}))
+                    t = images[v] ** k if t is None else t * images[v] ** k
+                if t is None:
+                    t = JetExpr.const(c)
+                elif c != 1:
+                    t = t.scale(c)
+                total = t if total is None else total + t
+            return ZERO if total is None else total
     else:
         names, under, weight = set(), set(), {}
         for v, x in images.items():

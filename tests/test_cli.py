@@ -17,9 +17,10 @@ from gaugeinv.cli import (
     latex_operator,
     main,
 )
-from gaugeinv.classify import class_operator
+from gaugeinv.classify import ClassSpec, class_operator
 from gaugeinv.grammar import parse_expr, print_expr
 from gaugeinv.invariants import complete_set
+from gaugeinv.jetalg import JetExpr, param_symbol
 from gaugeinv.opalg import DiffOperator
 from gaugeinv.verify import DeltaContext, is_invariant
 
@@ -85,6 +86,19 @@ def test_invariants_hypothesis_failure_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["invariants", path])
     assert code == EXIT_HYPOTHESIS
     assert "not framed" in err
+
+
+# On d_xxy the construction names its own parameters c1, c2 (the shifts of
+# d_x, d_y), D1_1, D2_0 (Delta a_s) and q1_0, q0_1, q0_0 (the shifts of the
+# B_w); a class parameter of one of these names would be the same symbol.
+@pytest.mark.parametrize("name", ["c1", "D1_1", "q1_0"])
+def test_class_parameter_named_like_the_constructions_exits_2(tmp_path, capsys, name):
+    p = JetExpr.symbol(param_symbol(name), dim=2)
+    path = write_spec(tmp_path, ClassSpec(2, (((2, 1), p),)))
+    assert run(capsys, ["analyze", path])[0] == EXIT_OK
+    code, out, err = run(capsys, ["invariants", path])
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert f"class parameter {name} " in err
 
 
 XXY_TEMPLATES = {

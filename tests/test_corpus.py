@@ -4,9 +4,10 @@ The corpus is every antichain of nonzero multi-indices with coefficient 1
 in dimension 1 up to order 4, dimension 2 up to order 4 and dimension 3 up
 to order 2: 228 classes.  Each class either raises a typed hypothesis
 error or yields a set whose audit is complete, whose every record passes
-Delta and whose upward records have the a_v - E form.  The sha256 of the
-canonical JSON of all 228 outcomes pins the library's output byte for
-byte, so a refactor of the construction that changes any record fails.
+Delta and the independent numeric oracle, and whose upward records have the
+a_v - E form.  The sha256 of the canonical JSON of all 228 outcomes pins the
+library's output byte for byte, so a refactor of the construction that
+changes any record fails.
 
 The symbolic variant takes every corpus class with at most three maximal
 terms and makes the parameter p the coefficient of its first vector: 187
@@ -25,7 +26,9 @@ from gaugeinv import multiindex as mi
 from gaugeinv.classify import ClassSpec, analyze
 from gaugeinv.invariants import HypothesisError, complete_set, is_upward_form
 from gaugeinv.jetalg import ONE, JetExpr, param_symbol
-from gaugeinv.verify import DeltaContext, is_invariant
+from gaugeinv.verify import (
+    DEFAULT_SEED, DeltaContext, OracleDraws, is_invariant, numeric_spot_check,
+)
 
 # (dimension, highest order) of each part of the corpus
 PARTS = ((1, 4), (2, 4), (3, 2))
@@ -94,7 +97,8 @@ def census(outcomes) -> Counter:
 
 
 def audit_records(outcomes) -> tuple[int, int]:
-    """Check every constructed set; return its (records, upward records)."""
+    """Check every constructed set, each record by Delta and by the oracle
+    (one set of draws per class); return its (records, upward records)."""
     n_records = n_upward = 0
     for spec, o in outcomes:
         if isinstance(o, Exception):
@@ -103,8 +107,10 @@ def audit_records(outcomes) -> tuple[int, int]:
         assert audit["complete"], spec
         an = analyze(spec)
         ctx = DeltaContext.for_class(spec)
+        draws = OracleDraws(ctx, DEFAULT_SEED)
         for rec in records:
             assert is_invariant(rec.expression, ctx)[0], (spec, rec.label)
+            assert numeric_spot_check(rec.expression, ctx, DEFAULT_SEED, draws), (spec, rec.label)
             if rec.kind == "upward":
                 assert is_upward_form(rec, an), (spec, rec.label)
                 n_upward += 1

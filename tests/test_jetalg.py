@@ -418,6 +418,10 @@ MAP_EDGES = {
     "denominator held by another numerator": (
         (a(1, 0) * a(0, 1) + a(1, 0) ** 2) / a(0, 1),
         {X: a(1, 1) / a(2, 0), Y: a(2, 0) ** 2 + a(1, 1)}),
+    # every image one term: the term loop, whose constant term is a constant
+    "one-term images and a constant term": (
+        (a(1, 0) ** 2 * a(0, 1) + JetExpr.const(Fraction(1, 2))) / a(2, 0),
+        {X: a(1, 1).scale(Fraction(2, 3)), Y: a(0, 2) / a(1, 1), U: a(0, 2)}),
 }
 
 
