@@ -5,7 +5,8 @@ with nonzero coefficients (literal constants or symbols).  The term lattice
 is the down set of the maximal vectors; every vector is classified as
 maximal, submaximal (covered only by maximal vectors), or interior.  The
 module decides the two hypotheses of the main construction — approximately
-flat and framed — and selects a framing set.
+flat and framed — selects a framing set, and solves the framing system by the
+same row reduction (``solve_framing``), the one exact elimination.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property
 
 from . import multiindex as mi
 from .grammar import InputError, parse_expr, print_expr
-from .jetalg import BaseSymbol, JetExpr, KIND_GAUGE, KIND_PARAM, coeff_symbol
+from .jetalg import BaseSymbol, JetExpr, KIND_COEFF, KIND_GAUGE, KIND_PARAM, coeff_symbol
 from .multiindex import MultiIndex
 from .opalg import DiffOperator
 
@@ -66,6 +67,11 @@ class ClassSpec:
                     f"coefficient of {v} must be a nonzero constant or a single "
                     "symbol other than g"
                 )
+            for s in c.base_symbols():
+                if s.kind == KIND_COEFF and s.vector not in self.maximal_set:
+                    raise ClassSpecError(
+                        f"coefficient {s.text()} of {v} must name a maximal vector"
+                    )
 
     @cached_property
     def maximal_set(self) -> frozenset[MultiIndex]:
@@ -228,6 +234,27 @@ def _reduce_row(row, reduced, assumptions):
                 assumptions.append(e)
             return j, row
     return None, row
+
+
+def solve_framing(analysis: ClassAnalysis, rhs: list[JetExpr]) -> list[JetExpr]:
+    """Solve phi(s_k) . x = rhs[k] over the framing set s_1..s_n of a
+    framed class.
+
+    The rows, extended by rhs, are reduced in the order ``analyze`` chose
+    them, so the pivots are those of ``analysis.framing_assumptions``; x is
+    read off by back substitution."""
+    n = analysis.dimension
+    reduced: list[tuple[int, list[JetExpr]]] = []
+    for s, r in zip(analysis.framing_set, rhs):
+        reduced.append(_reduce_row(_phi_row(analysis.spec, s) + (r,), reduced, []))
+    x = [None] * n
+    for pivot, row in reversed(reduced):
+        value = row[n]
+        for j in range(n):
+            if j != pivot and not row[j].is_zero():
+                value = value - row[j] * x[j]
+        x[pivot] = value / row[pivot]
+    return x
 
 
 def analyze(spec: ClassSpec) -> ClassAnalysis:

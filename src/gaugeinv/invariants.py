@@ -10,11 +10,14 @@ approximately flat, framed class:
 * upward — one per interior vector v, of the form a_v - E, obtained from
   an incomplete factorization L = C + N.
 
-Upward invariants come either from the generic constructor (the C_m sum of
-shifted-factor products plus B_w correction operators) or from a
-user-supplied staged template, both solved by exact elimination.  A
-recursion for the bottom invariant of the totally hyperbolic class in any
-dimension is also provided.
+The framing system Delta a_s = phi(s) . grad g is solved by
+``classify.solve_framing``, with the row reduction and so the assumptions
+of ``analyze``.  Upward invariants come either from the generic
+constructor (the C_m sum of shifted-factor products plus B_w correction
+operators, whose shifts c_i solve the same system) or from a user-supplied
+staged template; every other parameter is forced one target coefficient
+at a time.  A recursion for the bottom invariant of the totally
+hyperbolic class in any dimension is also provided.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ from typing import Iterable, Sequence
 
 from . import jetalg
 from . import multiindex as mi
-from .classify import ClassAnalysis, ClassSpec, ClassSpecError, analyze, class_operator, phi
+from .classify import ClassAnalysis, ClassSpec, ClassSpecError, analyze, class_operator
+from .classify import phi, solve_framing
 from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
@@ -213,46 +217,10 @@ def _dedupe(exprs: Iterable[JetExpr]) -> tuple[JetExpr, ...]:
     return tuple(out)
 
 
-def _gauss_solve(
-    rows: Sequence[Sequence[JetExpr]], rhs: Sequence[JetExpr]
-) -> tuple[list[JetExpr], list[JetExpr]]:
-    """Solve the square system rows . x = rhs by exact elimination.
-
-    Pivots prefer constant entries; every non-constant pivot is returned
-    as a nonvanishing assumption.  Raises SolveError on a singular system.
-    """
-    n = len(rows)
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    assumptions: list[JetExpr] = []
-    where = [-1] * n
-    used_rows: set[int] = set()
-    for col in range(n):
-        candidates = [
-            i for i in range(n) if i not in used_rows and not aug[i][col].is_zero()
-        ]
-        if not candidates:
-            raise SolveError(f"singular system: no pivot for column {col + 1}")
-        pivot_row = min(
-            candidates, key=lambda i: (0 if aug[i][col].is_const() else 1, i)
-        )
-        pivot = aug[pivot_row][col]
-        if not pivot.is_const():
-            assumptions.append(pivot)
-        used_rows.add(pivot_row)
-        where[col] = pivot_row
-        for i in range(n):
-            if i != pivot_row and not aug[i][col].is_zero():
-                factor = aug[i][col] / pivot
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[pivot_row])]
-    solution = []
-    for col in range(n):
-        row = aug[where[col]]
-        solution.append(row[n] / row[col])
-    return solution, assumptions
-
-
 def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
-    """Determine grad g from the framing set's Delta-equations.
+    """Determine grad g from the framing set's Delta-equations, solved by
+    ``classify.solve_framing``; the assumptions are the framing assumptions
+    of ``analyze`` with their content stripped.
 
     Raises ClassSpecError when a class parameter is named like a parameter
     of the construction (c_i, D_s, p_u or q_w), as it would be that symbol."""
@@ -265,9 +233,9 @@ def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
         )
         raise NotFramedError(f"class is not framed; phi-vectors: {rows}")
     chosen = analysis.framing_set
-    matrix = [phi(analysis, s) for s in chosen]
-    rhs = [JetExpr.symbol(delta_symbol(s), dim=analysis.dimension) for s in chosen]
-    gradient, assumptions = _gauss_solve(matrix, rhs)
+    gradient = solve_framing(
+        analysis, [JetExpr.symbol(delta_symbol(s), dim=analysis.dimension) for s in chosen]
+    )
     residual = tuple(
         s for s in mi.sort_canonical(analysis.submaximal_set) if s not in chosen
     )
@@ -280,7 +248,7 @@ def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
             f"class parameter {', '.join(clash)} is also a parameter of the construction"
         )
     return GradientSolution(
-        analysis, chosen, tuple(gradient), residual, _dedupe(assumptions)
+        analysis, chosen, tuple(gradient), residual, _dedupe(analysis.framing_assumptions)
     )
 
 
@@ -531,10 +499,11 @@ class _GenericParts:
         """Bindings and assumptions making D = L - C_m - sum of the B_w over
         W vanish on the maximal and submaximal vectors and on W.
 
-        The c_i solve phi(v_i) . c = (L - sum of B_w)_{v_i}, the gradient
+        The c_i solve phi(v_i) . c = (L - sum of B_w)_{v_i}, the framing
         system with another right-hand side, so they are read off the
-        gradient solution; ``_solve_targets`` then forces the p_v of the
-        residual submaximal vectors and the q_w.
+        gradient ``classify.solve_framing`` gave, with its assumptions;
+        ``_solve_targets`` then forces the p_v of the residual submaximal
+        vectors and the q_w.
         """
         sol = self.sol
         rhs = {}

@@ -101,6 +101,30 @@ def test_class_parameter_named_like_the_constructions_exits_2(tmp_path, capsys, 
     assert f"class parameter {name} " in err
 
 
+# A coefficient symbol a_w is the maximal coefficient at w; on any other
+# vector it would be gauged as a_w and as a maximal coefficient at once.
+@pytest.mark.parametrize("vector, coefficient", [
+    ([1, 1], "a[0,0]"), ([1, 1], "a[1,0]"), ([2, 1], "a[5,5]"),
+])
+def test_coefficient_symbol_of_another_vector_exits_2(tmp_path, capsys, vector, coefficient):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "maximal_terms": [{"vector": vector, "coefficient": coefficient}]}
+    ))
+    for command in ("analyze", "invariants"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, out) == (EXIT_HYPOTHESIS, "")
+        assert f"coefficient {coefficient} of " in err
+
+
+def test_coefficient_symbol_of_its_own_vector_verifies(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "maximal_terms": [{"vector": [1, 1], "coefficient": "a[1,1]"}]}
+    ))
+    assert run(capsys, ["invariants", str(path), "--verify"])[0] == EXIT_OK
+
+
 XXY_TEMPLATES = {
     "check_closure": True,
     "stages": [

@@ -23,9 +23,11 @@ from collections import Counter
 import pytest
 
 from gaugeinv import multiindex as mi
-from gaugeinv.classify import ClassSpec, analyze
-from gaugeinv.invariants import HypothesisError, complete_set, is_upward_form
-from gaugeinv.jetalg import ONE, JetExpr, param_symbol
+from gaugeinv.classify import ClassSpec, analyze, phi
+from gaugeinv.invariants import (
+    HypothesisError, _dedupe, complete_set, delta_symbol, is_upward_form, solve_gradient,
+)
+from gaugeinv.jetalg import ONE, ZERO, JetExpr, equal, param_symbol
 from gaugeinv.verify import (
     DEFAULT_SEED, DeltaContext, OracleDraws, is_invariant, numeric_spot_check,
 )
@@ -39,7 +41,7 @@ CENSUS = {"constructed": 147, "NotApproximatelyFlatError": 78, "NotFramedError":
 FINGERPRINT = "fa76e0f776cf5a6f2d191970a9583da83730db135f64ea93eaab4ea63a5c58e2"
 
 SYMBOLIC_CENSUS = {"constructed": 112, "NotApproximatelyFlatError": 75}
-SYMBOLIC_FINGERPRINT = "617b170b86393c21c78f75ed317be326c53deb5ab58f5898ebb23a6a8875265b"
+SYMBOLIC_FINGERPRINT = "4a7b83c2bca0bd512e3182485375e65e67f32dbf52a025c1c822c7280ab19041"
 
 
 def antichains(n: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -118,6 +120,24 @@ def audit_records(outcomes) -> tuple[int, int]:
     return n_records, n_upward
 
 
+def check_framing_solves(outcomes) -> int:
+    """Check that the gradient of every constructed class satisfies each
+    framing row exactly and carries analyze's framing assumptions; return
+    the number of classes checked."""
+    checked = 0
+    for spec, o in outcomes:
+        if isinstance(o, Exception):
+            continue
+        an = analyze(spec)
+        sol = solve_gradient(an)
+        for s in an.framing_set:
+            lhs = sum((e * g for e, g in zip(phi(an, s), sol.gradient)), ZERO)
+            assert equal(lhs, JetExpr.symbol(delta_symbol(s), dim=spec.dimension)), (spec, s)
+        assert sol.assumptions == _dedupe(an.framing_assumptions), spec
+        checked += 1
+    return checked
+
+
 def fingerprint(outcomes) -> str:
     canon = [
         {"class": spec.to_json(), "error": type(o).__name__}
@@ -151,6 +171,10 @@ def test_every_set_is_complete_and_invariant(outcomes):
 
 def test_output_fingerprint(outcomes):
     assert fingerprint(outcomes) == FINGERPRINT
+
+
+def test_framing_solve_is_exact(outcomes, symbolic_outcomes):
+    assert check_framing_solves(outcomes) + check_framing_solves(symbolic_outcomes) == 259
 
 
 def test_symbolic_census(symbolic_outcomes):

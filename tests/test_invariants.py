@@ -74,6 +74,15 @@ def test_solve_gradient_five_order_3d():
     assert len(sol.residual_vectors) == 5
 
 
+def test_solve_gradient_assumes_the_pivot_analyze_divides_by():
+    # On {p d_xy, d_xx} analyze reduces phi(0,1) = (p, 0), then
+    # phi(1,0) = (2, p) to (0, p): both pivots are p, and the solve divides
+    # by the same ones (not by 2 and then -p^2/2).
+    an = analyze(ClassSpec(2, (((1, 1), par("p")), ((2, 0), ONE))))
+    assert [print_expr(a) for a in an.framing_assumptions] == ["p", "p"]
+    assert [print_expr(a) for a in solve_gradient(an).assumptions] == ["p"]
+
+
 def test_solve_gradient_raises_on_bad_hypotheses():
     with pytest.raises(NotApproximatelyFlatError):
         solve_gradient(analyze(fx.spec_not_flat_a()))
