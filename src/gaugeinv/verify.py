@@ -9,7 +9,9 @@ identically zero.
 ``numeric_spot_check`` is a second, independent check of that verdict.
 It instantiates every symbol as a seeded random polynomial function and
 gauges the concrete operator itself, one jet at a time at a sample point,
-with its own Leibniz recursion; it shares neither ``substitute`` nor
+with its own Leibniz recursion over tables of binomials and index
+differences built once per class (``OracleDraws.leibniz``) and once per
+multi-index (``_splits``); it shares neither ``substitute`` nor
 ``gauge`` with Delta.  It computes on residues modulo the prime 2^61 - 1,
 so it is a Schwartz-Zippel identity test (Schwartz, J. ACM 1980): a wrong
 verdict needs E' - E to vanish at every sample point without vanishing
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as _cartesian
-from math import comb
+from math import comb, prod
 
 from . import multiindex as mi
 from .classify import ClassSpec, class_operator
@@ -120,6 +123,27 @@ def _residue(c) -> int:
     return c % _P if type(c) is int else _ratio(c.numerator, c.denominator)
 
 
+_INVERSE = (0,) + tuple(pow(j, -1, _P) for j in range(1, 8))  # 1/j modulo _P
+
+
+def _draw(rng: random.Random) -> int:
+    """A rational i/j modulo _P, with -7 <= i <= 7 and 1 <= j <= 7."""
+    return rng.randint(-7, 7) * _INVERSE[rng.randint(1, 7)] % _P
+
+
+@cache
+def _monomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponents of x_1..x_n of total degree <= _DEGREE, in draw order."""
+    return tuple(m for m in _cartesian(*(range(_DEGREE + 1) for _ in range(n)))
+                 if sum(m) <= _DEGREE)
+
+
+def _monomial_values(point: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The value at the point of every monomial of total degree <= _DEGREE."""
+    powers = [[pow(x, e, _P) for e in range(_DEGREE + 1)] for x in point]
+    return {m: prod(p[e] for p, e in zip(powers, m)) % _P for m in _monomials(len(point))}
+
+
 class _RatPoly:
     """Polynomial function of x_1..x_n with coefficients modulo _P."""
 
@@ -133,12 +157,7 @@ class _RatPoly:
     def random(n: int, rng: random.Random) -> "_RatPoly":
         """Total degree <= _DEGREE; coefficients i/j with -7 <= i <= 7 and
         1 <= j <= 7, reduced."""
-        terms = {}
-        for m in _cartesian(*(range(_DEGREE + 1) for _ in range(n))):
-            if sum(m) > _DEGREE:
-                continue
-            terms[m] = _ratio(rng.randint(-7, 7), rng.randint(1, 7))
-        return _RatPoly(n, terms)
+        return _RatPoly(n, {m: _draw(rng) for m in _monomials(n)})
 
     def derive(self, deriv: tuple[int, ...]) -> "_RatPoly":
         terms = self.terms
@@ -149,14 +168,9 @@ class _RatPoly:
                          for m, c in terms.items() if m[i]}
         return _RatPoly(self.n, terms)
 
-    def eval(self, point: tuple[int, ...]) -> int:
-        total = 0
-        for m, c in self.terms.items():
-            for x, e in zip(point, m):
-                if e:
-                    c = c * x ** e % _P
-            total += c
-        return total % _P
+    def eval(self, values: dict[tuple[int, ...], int]) -> int:
+        """The value at a point, given there by ``_monomial_values``."""
+        return sum(c * values[m] for m, c in self.terms.items()) % _P
 
 
 def _value(terms, jet) -> int:
@@ -186,21 +200,26 @@ def _b_jet(u, gamma, g_jet, memo) -> int:
         i = next(k for k, x in enumerate(u) if x)
         prev = u[:i] + (u[i] - 1,) + u[i + 1:]
         r = _b_jet(prev, gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:], g_jet, memo)
-        for delta in _cartesian(*(range(x + 1) for x in gamma)):
-            gd = g_jet(delta[:i] + (delta[i] + 1,) + delta[i + 1:])
+        for delta_i, rest, k in _splits(gamma, i):
+            gd = g_jet(delta_i)
             if gd:
-                rest = tuple(a - b for a, b in zip(gamma, delta))
-                r += _binom(gamma, delta) * gd * _b_jet(prev, rest, g_jet, memo)
+                r += k * gd * _b_jet(prev, rest, g_jet, memo)
         r = memo[key] = r % _P
     return r
 
 
-def _binom(v, w) -> int:
-    """The multinomial binomial C(v, w) = prod_i binom(v_i, w_i)."""
-    out = 1
-    for a, b in zip(v, w):
-        out *= comb(a, b)
-    return out
+@cache
+def _splits(alpha: tuple[int, ...], i: int | None = None) -> tuple:
+    """(beta, alpha - beta, C(alpha, beta)) for every beta <= alpha, where
+    C is the multinomial binomial; given i, beta + e_i stands for beta."""
+    out = []
+    for beta in _cartesian(*(range(a + 1) for a in alpha)):
+        rest = tuple(a - b for a, b in zip(alpha, beta))
+        k = prod(map(comb, alpha, beta))
+        if i is not None:
+            beta = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+        out.append((beta, rest, k))
+    return tuple(out)
 
 
 class OracleDraws:
@@ -209,8 +228,10 @@ class OracleDraws:
     One object serves the checks of one call, such as every record of
     ``invariants --verify``.  Per set of symbols it keeps the random
     instance, the derived jets, the generator positioned after the
-    instance, and the sample points it has drawn so far, each with its
-    memos: the jets before and after gauging and the B_u values.  A check
+    instance, and the sample points it has drawn so far, each as the value
+    there of every monomial of total degree <= _DEGREE, with its memos: the
+    jets before and after gauging and the B_u values.  ``leibniz`` maps
+    each gauged w to its terms (C(v, w), v - w, c_v), v >= w.  A check
     takes the points in the order the generator draws them, so it sees the
     points, and the retries, of a check on its own, and its verdict is the
     same.
@@ -220,12 +241,13 @@ class OracleDraws:
         self.ctx = ctx
         self.seed = seed
         L = ctx.operator
-        self.gauged = L.support() - ctx.spec.maximal_set
-        # The coefficient of each d^v: a residue when constant, else the jet
-        # variable of its single symbol.
-        self.coeff = {v: _residue(c.const_value()) if c.is_const()
-                      else next(iter(c.variables()))
-                      for v, c in L.terms.items()}
+        # The coefficient c_v of each d^v: a residue when constant, else the
+        # jet variable of its single symbol.
+        coeff = {v: _residue(c.const_value()) if c.is_const() else next(iter(c.variables()))
+                 for v, c in L.terms.items()}
+        self.leibniz = {w: [(prod(map(comb, v, w)), tuple(a - b for a, b in zip(v, w)), c)
+                            for v, c in coeff.items() if mi.leq(w, v)]
+                        for w in L.support() - ctx.spec.maximal_set}
         self._instances: dict[tuple[BaseSymbol, ...], tuple] = {}
 
     def instance(self, symbols: tuple[BaseSymbol, ...]) -> tuple:
@@ -253,7 +275,8 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
         d^alpha a'_w = sum_{v >= w} C(v, w) sum_{beta <= alpha} C(alpha, beta)
                                    * d^beta c_v * d^{alpha-beta} B_{v-w},
 
-    with c_v the coefficient of d^v and B_u as in ``_b_jet``.  Neither
+    with c_v the coefficient of d^v and B_u as in ``_b_jet``; the outer sum
+    walks ``draws.leibniz[w]``, the inner one ``_splits(alpha)``.  Neither
     ``substitute`` nor ``gauge`` nor the values of ``ctx.gauge_map`` are
     used, so the check is independent of the symbolic Delta it checks.
 
@@ -281,10 +304,10 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
     elif draws.ctx is not ctx or draws.seed != seed:
         raise ValueError("the oracle draws belong to another class or seed")
     n = ctx.spec.dimension
-    gauged, coeff = draws.gauged, draws.coeff
+    leibniz = draws.leibniz
     g = gauge_symbol()
     # The symbols of L, L' and E; g occurs in L' when any coefficient is gauged.
-    symbols = ctx.operator.base_symbols() | E.base_symbols() | ({g} if gauged else set())
+    symbols = ctx.operator.base_symbols() | E.base_symbols() | ({g} if leibniz else set())
     instance, derived, rng, points = draws.instance(tuple(sorted(symbols, key=symbol_key)))
     num = [(_residue(c), m) for m, c in E.num.terms.items()]
     den = [(_residue(c), m) for m, c in E.den.terms.items()]
@@ -297,33 +320,29 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
             poly = derived.get(v)
             if poly is None:
                 poly = derived[v] = instance[v.base].derive(v.deriv)
-            r = at[v] = poly.eval(point)
+            r = at[v] = poly.eval(values)
         return r
 
     def g_jet(d) -> int:
         return jet(JetVariable(g, d))
 
     def after(var: JetVariable) -> int:
-        w = var.base.vector
-        if var.base.kind != KIND_COEFF or w not in gauged:
+        # Parameters and g have no vector; maximal coefficients are not gauged.
+        table = leibniz.get(var.base.vector)
+        if table is None:
             return jet(var)
         r = after_at.get(var)
         if r is None:
             alpha = var.deriv
             r = 0
-            for v, c in coeff.items():
-                if not mi.leq(w, v):
-                    continue
-                k = _binom(v, w)
-                u = tuple(a - b for a, b in zip(v, w))
+            for k, u, c in table:
                 if type(c) is int:
                     r += k * c * _b_jet(u, alpha, g_jet, b_memo)
                     continue
-                for beta in _cartesian(*(range(x + 1) for x in alpha)):
+                for beta, gamma, kb in _splits(alpha):
                     cj = jet(JetVariable(c.base, beta))
                     if cj:
-                        gamma = tuple(a - b for a, b in zip(alpha, beta))
-                        r += k * _binom(alpha, beta) * cj * _b_jet(u, gamma, g_jet, b_memo)
+                        r += k * kb * cj * _b_jet(u, gamma, g_jet, b_memo)
             r = after_at[var] = r % _P
         return r
 
@@ -331,9 +350,9 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
     for _ in range(_POINTS):
         for attempt in range(_RETRIES + 1):
             if drawn == len(points):
-                point = tuple(_ratio(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n))
-                points.append((point, {}, {}, {}))
-            point, at, after_at, b_memo = points[drawn]
+                point = tuple(_draw(rng) for _ in range(n))
+                points.append((_monomial_values(point), {}, {}, {}))
+            values, at, after_at, b_memo = points[drawn]
             drawn += 1
             d0 = _value(den, jet)
             d1 = d0 and _value(den, after)

@@ -22,6 +22,7 @@ from gaugeinv.grammar import parse_expr, print_expr
 from gaugeinv.invariants import complete_set
 from gaugeinv.jetalg import JetExpr, param_symbol
 from gaugeinv.opalg import DiffOperator
+from gaugeinv import verify
 from gaugeinv.verify import DeltaContext, is_invariant
 
 import _fixtures as fx
@@ -287,6 +288,17 @@ def test_verify_non_invariant_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", path, "--expr", "a[1,0]"])
     assert code == EXIT_VERIFY
     assert "residual" in json.loads(out)
+
+
+def test_verify_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # Delta says invariant, the oracle says not: a disagreement is a
+    # verification failure, as in ``invariants --verify``.
+    monkeypatch.setattr(verify, "numeric_spot_check", lambda *args: False)
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, _ = run(capsys, ["verify", path, "--expr", "2*a[2,0];[1,0] - a[1,1];[0,1]"])
+    assert code == EXIT_VERIFY
+    data = json.loads(out)
+    assert data["invariant"] is True and data["numeric_check"] is False
 
 
 def test_verify_bad_expression_exits_1(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -272,6 +273,30 @@ def test_shared_draws_give_the_verdicts_of_single_checks(name, monkeypatch):
     assert [verdict for verdict, _ in shared] == [True] * len(records) + [False]
 
 
+# sha256 of every _value result of the checks in the test below, in order
+ORACLE_RESIDUES = "d6faac9f48e50589304d46c8d8910e76d563969ed0b59d54afd2f6ffb5ccad91"
+
+
+def test_oracle_residues_are_pinned(monkeypatch):
+    """Every record, and every record plus a non-maximal a_w, at DEFAULT_SEED.
+
+    The oracle's values at its sample points, not only its verdicts, must
+    stay the same: a rewrite of its arithmetic must not move any draw.
+    """
+    values = []
+    value = verify._value
+    monkeypatch.setattr(verify, "_value", lambda terms, jet: values.append(value(terms, jet))
+                        or values[-1])
+    for name in sorted(fx.ALL_CONSTRUCTIVE):
+        ctx, records = _class_records(name)
+        gauged = sorted(s.vector for s in ctx.gauge_map)
+        for k, rec in enumerate(records):
+            a_w = JetExpr.symbol(coeff_symbol(gauged[k % len(gauged)]), dim=ctx.spec.dimension)
+            for E in (rec.expression, rec.expression + a_w):
+                values.append(numeric_spot_check(E, ctx))
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == ORACLE_RESIDUES
+
+
 def test_shared_draws_draw_an_instance_per_symbol_set():
     # a[2,1], the constant maximal coefficient of d_xxy, is in no class
     # coefficient, so an expression holding it needs a second instance.
@@ -284,6 +309,50 @@ def test_shared_draws_draw_an_instance_per_symbol_set():
     assert len(draws._instances) == 2
     with pytest.raises(ValueError):
         numeric_spot_check(exprs[0], ctx, DEFAULT_SEED + 1, draws)
+
+
+@pytest.mark.parametrize("alpha", [(0,), (3,), (2, 1), (0, 2), (1, 2, 1)])
+def test_splits_list_every_lower_index_once(alpha):
+    splits = verify._splits(alpha)
+    betas = [beta for beta, _, _ in splits]
+    assert sorted(betas) == sorted(itertools.product(*(range(a + 1) for a in alpha)))
+    assert all(tuple(b + r for b, r in zip(beta, rest)) == alpha for beta, rest, _ in splits)
+    assert sum(k for _, _, k in splits) == 2 ** sum(alpha)
+    for i in range(len(alpha)):
+        shifted = [(beta[:i] + (beta[i] + 1,) + beta[i + 1:], rest, k)
+                   for beta, rest, k in splits]
+        assert verify._splits(alpha, i) == tuple(shifted)
+
+
+@pytest.mark.parametrize("name", ["x3", "five_order_3d"])
+def test_leibniz_table_matches_a_direct_scan(name):
+    ctx, _ = _class_records(name)
+    L = ctx.operator
+    table = OracleDraws(ctx, DEFAULT_SEED).leibniz
+    assert set(table) == {s.vector for s in ctx.gauge_map}
+    for w, terms in table.items():
+        want = []
+        for v, c in L.terms.items():
+            if all(a >= b for a, b in zip(v, w)):
+                c = (verify._residue(c.const_value()) if c.is_const()
+                     else next(iter(c.variables())))
+                want.append((math.prod(math.comb(a, b) for a, b in zip(v, w)),
+                             tuple(a - b for a, b in zip(v, w)), c))
+        assert sorted(terms, key=repr) == sorted(want, key=repr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ratpoly_eval_on_monomial_values_is_direct_evaluation(n):
+    rng = random.Random(n)
+    poly = verify._RatPoly.random(n, rng)
+    for _ in range(3):
+        point = tuple(verify._draw(rng) for _ in range(n))
+        values = verify._monomial_values(point)
+        for deriv in [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)]:
+            p = poly.derive(deriv)
+            direct = sum(c * math.prod(x ** e for x, e in zip(point, m))
+                         for m, c in p.terms.items()) % verify._P
+            assert p.eval(values) == direct
 
 
 def test_numeric_spot_check_gauges_the_operator_not_the_map():
