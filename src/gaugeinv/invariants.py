@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 from . import jetalg
 from . import multiindex as mi
@@ -382,7 +383,7 @@ def build_Cm(
     NotApproximatelyFlatError / NotFramedError as ``solve_gradient`` does.
     """
     parts = _GenericParts(solve_gradient(analysis))
-    bindings, assumptions = parts.solve(parts.L - parts.expanded)
+    bindings, assumptions = parts.solve(())
     return parts.templates, bindings, assumptions
 
 
@@ -410,12 +411,13 @@ def _solve_param_linear(eq: JetExpr, param: BaseSymbol) -> tuple[JetExpr, JetExp
 
 
 def _solve_targets(
-    D: DiffOperator,
+    D: DiffOperator | Callable[[MultiIndex], JetExpr],
     targets: Iterable[MultiIndex],
     params: set[BaseSymbol],
     bindings: dict[BaseSymbol, JetExpr],
 ) -> list[JetExpr]:
-    """Bind every parameter in params so that D vanishes at every target.
+    """Bind every parameter in params so that D vanishes at every target;
+    D is an operator or the function giving its coefficient at a target.
 
     The pending targets are swept in order: a target whose coefficient in
     D, under the bindings so far, holds exactly one unbound parameter binds
@@ -425,12 +427,13 @@ def _solve_targets(
     SolveError when a target cannot be zeroed, when a sweep binds nothing,
     or when a parameter is left undetermined.
     """
+    coefficient = D.coefficient if isinstance(D, DiffOperator) else D
     assumptions: list[JetExpr] = []
     pending = list(dict.fromkeys(targets))
     while pending:
         progress = False
         for t in list(pending):
-            eq = substitute(D.coefficient(t), bindings)
+            eq = substitute(coefficient(t), bindings)
             present = {
                 s for s in eq.base_symbols() if s in params and s not in bindings
             }
@@ -465,7 +468,8 @@ def _solve_targets(
 class _GenericParts:
     """The operators of the generic construction that do not depend on the
     interior vector, built once per call (each B_w on first use) on the
-    gradient solution, off which every solve reads the c_i."""
+    gradient solution, off which every solve reads the c_i; the solve of
+    each distinct W is made once and shared by the vectors below it."""
 
     def __init__(self, sol: GradientSolution):
         analysis = sol.analysis
@@ -479,6 +483,7 @@ class _GenericParts:
         )
         self.interior = mi.sort_canonical(analysis.interior_set)
         self.b_parts: dict[MultiIndex, tuple[FactorTemplate, DiffOperator]] = {}
+        self.solves: dict[tuple[MultiIndex, ...], tuple] = {}
 
     def b_part(self, w: MultiIndex) -> tuple[FactorTemplate, DiffOperator]:
         """B_w = (d_{x_j} + q_w) prod_i (d_{x_i} + c_i)^{w(i)} and its expansion."""
@@ -493,8 +498,21 @@ class _GenericParts:
             self.b_parts[w] = (t, expand_template(t))
         return self.b_parts[w]
 
+    def coefficient(self, W: Sequence[MultiIndex], t: MultiIndex) -> JetExpr:
+        """(L - C)_t, C = C_m + sum of the B_w over W, by the additions of the
+        operator sums at t: C_m, each B_w in W's order, then L + (-C); W's
+        order fixes every record's terms.  Where a sum cancels, the operator
+        drops it and this keeps a 0, but 0 + x and x - 0 are x term for term."""
+        c = self.expanded.terms.get(t)
+        for b in (self.b_part(w)[1].terms.get(t) for w in W):
+            if b is not None:
+                c = b if c is None else c + b
+        if c is None:
+            return self.L.coefficient(t)
+        return self.L.terms[t] + (-c) if t in self.L.terms else -c
+
     def solve(
-        self, D: DiffOperator, W: Sequence[MultiIndex] = ()
+        self, W: tuple[MultiIndex, ...]
     ) -> tuple[dict[BaseSymbol, JetExpr], tuple[JetExpr, ...]]:
         """Bindings and assumptions making D = L - C_m - sum of the B_w over
         W vanish on the maximal and submaximal vectors and on W.
@@ -509,34 +527,29 @@ class _GenericParts:
         rhs = {}
         for s in sol.chosen:
             c = self.L.coefficient(s)
-            for w in W:
-                c = c - self.b_part(w)[1].coefficient(s)
+            for b in (self.b_part(w)[1].terms.get(s) for w in W):
+                c = c if b is None else c - b  # x - 0 is x
             rhs[delta_symbol(s)] = c
         bindings = {
             _c_param(i + 1): substitute(g, rhs) for i, g in enumerate(sol.gradient)
         }
         params = {_p_param(u) for u in sol.residual_vectors}
         params |= {_q_param(w) for w in W}
-        pivots = _solve_targets(D, sol.residual_vectors + tuple(W), params, bindings)
+        targets = sol.residual_vectors + W
+        pivots = _solve_targets(lambda t: self.coefficient(W, t), targets, params, bindings)
         return bindings, _dedupe(sol.assumptions + tuple(pivots))
 
     def upward(self, v: MultiIndex) -> InvariantRecord:
-        W = [w for w in self.interior if mi.below(v, w)]
-        # C is the C_m sum, then each B_w in W's order; that order fixes
-        # the term order of C and so of every record.
-        b_templates = []
-        C = self.expanded
-        for w in W:
-            t, op = self.b_part(w)
-            b_templates.append(t)
-            C = C + op
-        D = self.L - C
-        bindings, assumptions = self.solve(D, W)
+        W = tuple(w for w in self.interior if mi.below(v, w))
+        if W not in self.solves:
+            self.solves[W] = self.solve(W)
+        bindings, assumptions = self.solves[W]
+        templates = self.templates + tuple(self.b_part(w)[0] for w in W)
         return _upward_record(
             v,
-            substitute(D.coefficient(v), bindings),
+            substitute(self.coefficient(W, v), bindings),
             assumptions,
-            Representation(self.templates + tuple(b_templates), bindings),
+            Representation(templates, bindings),
             self.analysis.spec.parameters,
         )
 
@@ -551,9 +564,9 @@ def upward_invariant_generic(
     is the lexicographically smallest non-maximal cover of w.  The c_i are
     read off the gradient solution; the p_u and then the q_w are forced
     one at a time so that L - C vanishes on the maximal and submaximal
-    vectors and on each such w.  The operators built here do not depend on v;
-    ``complete_set`` builds them once for all interior vectors and gives
-    the same record for each.
+    vectors and on each such w.  Only the solve depends on v, through W;
+    ``complete_set`` shares the operators and the solve of each W among all
+    interior vectors and gives the same record for each.
     """
     v = tuple(v)
     if v not in analysis.interior_set:
@@ -695,6 +708,7 @@ def _lift_hyperbolic(expr: JetExpr, m: int) -> JetExpr:
     dim = m + 1
     p = JetExpr.symbol(coeff_symbol((1,) * m + (0,)), dim=dim) - ONE
 
+    @cache  # one N_alpha per alpha, whose derive_multi memo serves every jet of b_alpha
     def lifted(alpha: MultiIndex) -> JetExpr:
         a1 = JetExpr.symbol(coeff_symbol(alpha + (1,)), dim=dim)
         a0 = JetExpr.symbol(coeff_symbol(alpha + (0,)), dim=dim)
@@ -760,7 +774,8 @@ def complete_set(spec: ClassSpec) -> tuple[list[InvariantRecord], dict]:
     interior vector, but the operators that do not depend on the vector
     (the C_m templates and their expansion, each B_w and its expansion,
     the class operator and the map f) are built once for this call and
-    shared; only the parameter solves are made per vector.
+    shared, and so is the parameter solve of each distinct set W of
+    interior vectors above a vector.
 
     Raises NotApproximatelyFlatError / NotFramedError (with diagnostics)
     when the hypotheses of the main construction fail.

@@ -270,9 +270,9 @@ def _mono_divide(p: Poly, m: Mono) -> Poly:
 
 
 class JetExpr:
-    """Quotient of two jet polynomials, kept in canonical form."""
+    """Quotient of two jet polynomials in canonical form; ``_jets`` memoizes derive_multi."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_jets")
 
     def __init__(self, num: Poly, den: Poly = _ONE_POLY):
         if den.is_zero():
@@ -370,10 +370,19 @@ class JetExpr:
         return JetExpr(dn * self.den - self.num * dd, self.den * self.den)
 
     def derive_multi(self, deriv: MultiIndex) -> "JetExpr":
-        out = self
-        for i, k in enumerate(deriv, start=1):
-            for _ in range(k):
-                out = out.derive(i, len(deriv))
+        """d^deriv of self, memoized on self: ``derive`` of the derivative with the
+        last nonzero index lowered by one, the chain of d_1 first, ..., d_n last."""
+        if not any(deriv):
+            return self
+        try:
+            jets = self._jets
+        except AttributeError:
+            jets = self._jets = {}
+        out = jets.get(deriv)
+        if out is None:
+            j = max(i for i, k in enumerate(deriv) if k)
+            lower = self.derive_multi(deriv[:j] + (deriv[j] - 1,) + deriv[j + 1:])
+            out = jets[deriv] = lower.derive(j + 1, len(deriv))
         return out
 
     # -- inspection ---------------------------------------------------

@@ -140,25 +140,27 @@ class DiffOperator:
 
 
 def op_mul(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """Noncommutative product of differential operators."""
+    """Noncommutative product of differential operators.  A Leibniz term with
+    jet d^beta h = 0 only places its key and one with the shared jet ``ONE`` is
+    f: x + 0 and f * 1 are x and f term for term, so the sum's order is kept."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"{a.dim} vs {b.dim}")
     dim = a.dim
     out: dict[MultiIndex, JetExpr] = {}
-    # d^beta h depends only on (w, beta), not on the left term u.
-    jets: dict[tuple[MultiIndex, MultiIndex], JetExpr] = {}
     for u, f in a.terms.items():
         for w, h in b.terms.items():
             for beta in _cartesian(*(range(x + 1) for x in u)):
+                vec = tuple(ui - bi + wi for ui, bi, wi in zip(u, beta, w))
+                jet = h.derive_multi(beta)
+                if jet.is_zero():
+                    out.setdefault(vec, jet)
+                    continue
                 binom = 1
                 for ui, bi in zip(u, beta):
                     binom *= comb(ui, bi)
-                if (w, beta) not in jets:
-                    jets[w, beta] = h.derive_multi(beta)
-                c = f * jets[w, beta]
+                c = f if jet is ONE else f * jet
                 if binom != 1:
                     c = c.scale(binom)
-                vec = tuple(ui - bi + wi for ui, bi, wi in zip(u, beta, w))
                 out[vec] = out[vec] + c if vec in out else c
     return DiffOperator(dim, out)
 
@@ -215,10 +217,10 @@ class Factor:
         terms: dict[MultiIndex, JetExpr] = {}
         for w in self.powers:
             mi.check_index(w, dim)
-            terms[w] = terms.get(w, JetExpr.const(0)) + ONE
+            terms[w] = terms[w] + ONE if w in terms else ONE
         zero = (0,) * dim
         if not self.shift.is_zero():
-            terms[zero] = terms.get(zero, JetExpr.const(0)) + self.shift
+            terms[zero] = terms[zero] + self.shift if zero in terms else self.shift
         return DiffOperator(dim, terms)
 
 

@@ -26,10 +26,15 @@ from gaugeinv.invariants import (
     solve_gradient,
     upward_invariant_generic,
     upward_invariants_from_template,
+    _GenericParts,
+    _lift_hyperbolic,
     _solve_param_linear,
     _solve_targets,
 )
-from gaugeinv.jetalg import JetExpr, ONE, ZERO, param_symbol, proportional, substitute
+from gaugeinv import multiindex as mi
+from gaugeinv.jetalg import (
+    JetExpr, ONE, ZERO, coeff_symbol, map_jets, param_symbol, proportional, substitute,
+)
 from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, expand_sum
 from gaugeinv.verify import DeltaContext, is_invariant, numeric_spot_check
 
@@ -554,3 +559,77 @@ def test_record_json_shape():
     assert data["target_vector"] == [1, 0]
     assert "representation" in data
     assert "template" in data["representation"]
+
+
+# The generic construction reads D = L - C only at the vectors it needs and
+# solves once per distinct W.  Records are printed sorted, so value equality
+# would not catch a change of term order; these tests compare terms in order.
+
+
+def _terms(e: JetExpr) -> tuple[list, list]:
+    return list(e.num.terms.items()), list(e.den.terms.items())
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec(4, (((1, 1, 1, 1), ONE),)),
+    ClassSpec(2, (((2, 2), P("p")), ((3, 0), ONE), ((0, 3), P("q")))),
+    fx.spec_five_order_3d(),
+], ids=["x1x2x3x4", "sym_2d", "five_order_3d"])
+def test_coefficient_on_demand_is_that_of_the_operator_sum(spec):
+    an = analyze(spec)
+    parts = _GenericParts(solve_gradient(an))
+    Ws = dict.fromkeys(
+        [()] + [tuple(w for w in parts.interior if mi.below(v, w)) for v in parts.interior]
+    )
+    for W in Ws:
+        C = parts.expanded
+        for w in W:
+            C = C + parts.b_part(w)[1]
+        D = parts.L - C
+        for t in an.all_vectors | D.support():
+            assert _terms(parts.coefficient(W, t)) == _terms(D.coefficient(t)), (W, t)
+
+
+def test_complete_set_solves_once_per_distinct_W(monkeypatch):
+    # x1x2x3x4 has 11 interior vectors and 6 distinct sets W above them.  A
+    # fresh process derives 108 times; jets memoized on expressions by earlier
+    # tests can only lower the count.
+    counts = {"solve": 0, "derive": 0}
+    solve, derive = _GenericParts.solve, JetExpr.derive
+
+    def counted_solve(self, W):
+        counts["solve"] += 1
+        return solve(self, W)
+
+    def counted_derive(self, i, dim):
+        counts["derive"] += 1
+        return derive(self, i, dim)
+
+    monkeypatch.setattr(_GenericParts, "solve", counted_solve)
+    monkeypatch.setattr(JetExpr, "derive", counted_derive)
+    records, audit = complete_set(ClassSpec(4, (((1, 1, 1, 1), ONE),)))
+    assert audit["counts"]["upward"] == 11
+    assert counts["solve"] == 6
+    assert counts["derive"] <= 108
+
+
+def _derive_chain(e: JetExpr, deriv) -> JetExpr:
+    for i, k in enumerate(deriv, start=1):
+        for _ in range(k):
+            e = e.derive(i, len(deriv))
+    return e
+
+
+def test_lift_hyperbolic_matches_a_lift_without_memos():
+    # one N_alpha per alpha serves every jet of b_alpha; a fresh N_alpha per
+    # jet, derived by a plain chain, gives the same terms in the same order
+    m, dim = 3, 4
+    expr = recursive_hyperbolic_bottom(m).expression
+    p = JetExpr.symbol(coeff_symbol((1,) * m + (0,)), dim=dim) - ONE
+
+    def value(var):
+        a1 = JetExpr.symbol(coeff_symbol(var.base.vector + (1,)), dim=dim)
+        a0 = JetExpr.symbol(coeff_symbol(var.base.vector + (0,)), dim=dim)
+        return _derive_chain(a0 - p * a1 - a1.derive(dim, dim), var.deriv + (0,))
+
+    assert _terms(_lift_hyperbolic(expr, m)) == _terms(map_jets(expr, value))

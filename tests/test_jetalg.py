@@ -432,3 +432,27 @@ def test_map_jets_edge_cases_match_the_term_by_term_map(case, packed):
     if packed:  # an image of two terms sends the map through the packed encoding
         e, images = e + a(2, 2), {**images, _jet(2, 2): a(1, 1) + a(0, 2)}
     _assert_same_map(map_jets(e, images.__getitem__), e, images)
+
+
+def _derive_chain(e: JetExpr, deriv) -> JetExpr:
+    """d^deriv as derive_multi once made it: d_1 first, ..., d_n last."""
+    for i, k in enumerate(deriv, start=1):
+        for _ in range(k):
+            e = e.derive(i, len(deriv))
+    return e
+
+
+def test_memoized_derive_multi_is_the_plain_chain():
+    # Over a denominator in p the term order fixes the normal form, so the
+    # memo must hand back the chain's terms in the chain's order, whatever
+    # order the jets are asked for in.
+    text = "(a[1,0]*p + p;[0,1]*a[0,0]) / (p + a[0,1]^2)"
+    e = parse_expr(text, 2)
+    derivs = [(i, j) for i in range(3) for j in range(3)]
+    for deriv in derivs[::-1] + derivs:
+        got = e.derive_multi(deriv)
+        want = _derive_chain(parse_expr(text, 2), deriv)
+        assert list(got.num.terms.items()) == list(want.num.terms.items()), deriv
+        assert list(got.den.terms.items()) == list(want.den.terms.items()), deriv
+    assert e.derive_multi((0, 0)) is e
+    assert e.derive_multi((2, 1)) is e.derive_multi((2, 1))

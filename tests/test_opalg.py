@@ -1,9 +1,14 @@
 """Tests for noncommutative operator algebra, gauging, and templates."""
 from __future__ import annotations
 
+from itertools import product as cartesian
+from math import comb
+
 import pytest
 
-from gaugeinv.classify import class_operator
+from gaugeinv import invariants
+from gaugeinv import opalg
+from gaugeinv.classify import ClassSpec, analyze, class_operator
 from gaugeinv.grammar import parse_expr, print_expr
 from gaugeinv.jetalg import JetExpr, ONE, ZERO, gauge_symbol, param_symbol
 from gaugeinv.multiindex import DimensionMismatchError
@@ -178,3 +183,68 @@ def test_from_json_rejects_duplicates():
 def test_from_json_errors_are_typed(data):
     with pytest.raises(OperatorSpecError):
         DiffOperator.from_json(data)
+
+
+def _op_mul_reference(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """op_mul as it was before zero and unit jets were skipped: every Leibniz
+    product formed and added, each jet d^beta h by a plain chain of derive."""
+    out = {}
+    for u, f in a.terms.items():
+        for w, h in b.terms.items():
+            for beta in cartesian(*(range(x + 1) for x in u)):
+                binom = 1
+                for ui, bi in zip(u, beta):
+                    binom *= comb(ui, bi)
+                jet = h
+                for i, k in enumerate(beta, start=1):
+                    for _ in range(k):
+                        jet = jet.derive(i, len(beta))
+                c = f * jet
+                if binom != 1:
+                    c = c.scale(binom)
+                vec = tuple(ui - bi + wi for ui, bi, wi in zip(u, beta, w))
+                out[vec] = out[vec] + c if vec in out else c
+    return DiffOperator(a.dim, out)
+
+
+def _layout(op: DiffOperator) -> list:
+    return [(v, list(c.num.terms.items()), list(c.den.terms.items()))
+            for v, c in op.terms.items()]
+
+
+def test_op_mul_keeps_the_terms_and_order_of_the_full_leibniz_sum(monkeypatch):
+    # Every product the construction forms on a generic, a symbolic and a
+    # staged class, the gauge action, and hand-made operators with zero and
+    # unit jets, denominators and sums that cancel.
+    pairs = []
+    real = opalg.op_mul
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(opalg, "op_mul", recording)
+    invariants.complete_set(ClassSpec(4, (((1, 1, 1, 1), ONE),)))
+    invariants.complete_set(ClassSpec(2, (((2, 2), P("p")), ((3, 0), ONE), ((0, 3), P("q")))))
+    stages, targets = invariants.hyperbolic_templates_3d()
+    invariants.upward_invariants_from_template(analyze(fx.spec_xyz()), stages, targets)
+    gauge(class_operator(fx.spec_x3()))
+    monkeypatch.undo()
+    f = P("a[1,0]/(p + a[0,1])")
+    pairs += [
+        (DiffOperator(2, {(2, 1): f, (1, 0): ONE, (0, 0): P("q")}),
+         DiffOperator(2, {(1, 1): P("(p + 1)/(a[0,0] - q)"), (0, 1): ONE, (0, 0): P("3")})),
+        (DiffOperator(2, {(1, 0): ONE, (0, 0): -f.derive(1, 2)}),
+         DiffOperator(2, {(0, 0): f, (1, 0): -f})),
+        (Factor(((1, 0), (1, 0)), f).as_operator(2), Factor(((0, 1),), f).as_operator(2)),
+    ]
+    assert len(pairs) > 50
+    for a, b in pairs:
+        assert _layout(op_mul(a, b)) == _layout(_op_mul_reference(a, b))
+
+
+def test_factor_operator_holds_the_shared_one():
+    op = Factor.single((1, 0), par("p")).as_operator(2)
+    assert op.terms[(1, 0)] is ONE
+    assert list(op.terms) == [(1, 0), (0, 0)]
+    assert Factor(((1, 0), (1, 0)), ZERO).as_operator(2).terms == {(1, 0): JetExpr.const(2)}
