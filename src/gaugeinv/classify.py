@@ -4,9 +4,9 @@ A class is specified by its maximal terms: an antichain of multi-indices
 with nonzero coefficients (literal constants or symbols).  The term lattice
 is the down set of the maximal vectors; every vector is classified as
 maximal, submaximal (covered only by maximal vectors), or interior.  The
-module decides the two hypotheses of the main construction — approximately
-flat and framed — selects a framing set, and solves the framing system by the
-same row reduction (``solve_framing``), the one exact elimination.
+module builds the rows phi(s) once, decides the two hypotheses of the main
+construction — approximately flat and framed — selects a framing set, and
+solves the framing system by the same row reduction (``solve_framing``).
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class ClassSpec:
         """The maximal vectors."""
         return frozenset(v for v, _ in self.maximal_terms)
 
-    @property
+    @cached_property
     def parameters(self) -> frozenset[BaseSymbol]:
         """The named parameters among the maximal coefficients (p, q, ...)."""
         return frozenset(
@@ -136,6 +136,7 @@ class ClassAnalysis:
     framed: bool
     framing_set: tuple[MultiIndex, ...] | None
     framing_assumptions: tuple[JetExpr, ...]
+    phi_rows: dict[MultiIndex, tuple[JetExpr, ...]]  # phi(s) for each submaximal s
 
     @property
     def dimension(self) -> int:
@@ -162,22 +163,10 @@ class ClassAnalysis:
 
 def phi(analysis: ClassAnalysis, v: MultiIndex) -> tuple[JetExpr, ...]:
     """The row phi(v) = sum over {i : v + e_i maximal} of (v(i)+1) a_{v+e_i} e_i."""
-    v = tuple(v)
-    if v not in analysis.submaximal_set:
-        raise ValueError(f"{v} is not submaximal")
-    return _phi_row(analysis.spec, v)
-
-
-def _phi_row(spec: ClassSpec, v: MultiIndex) -> tuple[JetExpr, ...]:
-    n = spec.dimension
-    row = []
-    for i in range(1, n + 1):
-        up = mi.add(v, mi.unit(n, i))
-        if up in spec.maximal_set:
-            row.append(spec.coefficient(up).scale(Fraction(v[i - 1] + 1)))
-        else:
-            row.append(JetExpr.const(0))
-    return tuple(row)
+    row = analysis.phi_rows.get(tuple(v))
+    if row is None:
+        raise ValueError(f"{tuple(v)} is not submaximal")
+    return row
 
 
 def _matching_witness(analysis_sub, maximal, n) -> tuple[MultiIndex, ...] | None:
@@ -246,7 +235,7 @@ def solve_framing(analysis: ClassAnalysis, rhs: list[JetExpr]) -> list[JetExpr]:
     n = analysis.dimension
     reduced: list[tuple[int, list[JetExpr]]] = []
     for s, r in zip(analysis.framing_set, rhs):
-        reduced.append(_reduce_row(_phi_row(analysis.spec, s) + (r,), reduced, []))
+        reduced.append(_reduce_row(analysis.phi_rows[s] + (r,), reduced, []))
     x = [None] * n
     for pivot, row in reversed(reduced):
         value = row[n]
@@ -271,9 +260,14 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
 
     witness = _matching_witness(submaximal, maximal, n)
 
+    rows = {}  # phi(s), kept on the analysis for phi() and solve_framing
+    for s in submaximal:
+        ups = [mi.add(s, mi.unit(n, i)) for i in range(1, n + 1)]
+        rows[s] = tuple(spec.coefficient(u).scale(Fraction(k + 1)) if u in maximal
+                        else JetExpr.const(0) for k, u in zip(s, ups))
+
     # Greedy framing-set selection: scan S in the preference order, keep a
     # vector iff its phi-row strictly increases the symbolic rank.
-    rows = {s: _phi_row(spec, s) for s in submaximal}
     ordered = sorted(submaximal, key=lambda s: _framing_order_key(s, rows[s]))
     reduced: list[tuple[int, list[JetExpr]]] = []
     chosen: list[MultiIndex] = []
@@ -293,7 +287,7 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
         spec, all_vectors, maximal, submaximal, interior,
         witness is not None, witness,
         framed, tuple(chosen) if framed else None,
-        tuple(assumptions) if framed else (),
+        tuple(assumptions) if framed else (), rows,
     )
 
 

@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (json.JSONDecodeError, UnicodeDecodeError, ExprParseError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InputError as exc:

@@ -11,13 +11,14 @@ approximately flat, framed class:
   an incomplete factorization L = C + N.
 
 The framing system Delta a_s = phi(s) . grad g is solved by
-``classify.solve_framing``, with the row reduction and so the assumptions
-of ``analyze``.  Upward invariants come either from the generic
+``classify.solve_framing`` with the a_s on the right, so the gradient is in
+the framing coefficients.  Upward invariants come either from the generic
 constructor (the C_m sum of shifted-factor products plus B_w correction
-operators, whose shifts c_i solve the same system) or from a user-supplied
-staged template; every other parameter is forced one target coefficient
-at a time.  A recursion for the bottom invariant of the totally
-hyperbolic class in any dimension is also provided.
+operators, whose shifts c_i are the gradient under one simultaneous
+substitution of the a_s) or from a user-supplied staged template; every
+other parameter is forced one target coefficient at a time.  A recursion
+for the bottom invariant of the totally hyperbolic class in any dimension
+is also provided.
 """
 from __future__ import annotations
 
@@ -84,17 +85,6 @@ def _vec_tag(v: MultiIndex) -> str:
 
 def _var_names(n: int) -> list[str]:
     return ["x", "y", "z"][:n] if n <= 3 else [f"x{i}" for i in range(1, n + 1)]
-
-
-def delta_symbol(v: MultiIndex) -> BaseSymbol:
-    """Parameter placeholder for Delta a_v in gradient solutions."""
-    return param_symbol("D" + "_".join(map(str, v)))
-
-
-def _delta_to_coeff(dim: int, vectors: Iterable[MultiIndex]) -> dict[BaseSymbol, JetExpr]:
-    return {
-        delta_symbol(v): JetExpr.symbol(coeff_symbol(v), dim=dim) for v in vectors
-    }
 
 
 @dataclass(frozen=True)
@@ -179,11 +169,10 @@ def _upward_record(
 
 @dataclass(frozen=True)
 class GradientSolution:
-    """The solved linear system Delta a_{v_i} = phi(v_i) . grad g."""
+    """The solved framing system Delta a_s = phi(s) . grad g, a_s for Delta a_s."""
 
     analysis: ClassAnalysis
-    chosen: tuple[MultiIndex, ...]
-    gradient: tuple[JetExpr, ...]  # g_{x_i} as JetExpr in Delta symbols
+    gradient: tuple[JetExpr, ...]  # g_{x_i} in the framing coefficients a_s
     residual_vectors: tuple[MultiIndex, ...]
     assumptions: tuple[JetExpr, ...]
 
@@ -219,29 +208,28 @@ def _dedupe(exprs: Iterable[JetExpr]) -> tuple[JetExpr, ...]:
 
 
 def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
-    """Determine grad g from the framing set's Delta-equations, solved by
+    """Determine grad g in the framing coefficients a_s by
     ``classify.solve_framing``; the assumptions are the framing assumptions
     of ``analyze`` with their content stripped.
 
     Raises ClassSpecError when a class parameter is named like a parameter
-    of the construction (c_i, D_s, p_u or q_w), as it would be that symbol."""
+    of the construction (c_i, p_u or q_w), as it would be that symbol."""
     if not analysis.approximately_flat:
         raise NotApproximatelyFlatError("class is not approximately flat")
     if not analysis.framed:
         rows = "; ".join(
-            f"phi{s} = ({', '.join(print_expr(e) for e in phi(analysis, s))})"
+            f"phi{s} = ({', '.join(print_expr(e) for e in analysis.phi_rows[s])})"
             for s in mi.sort_canonical(analysis.submaximal_set)
         )
         raise NotFramedError(f"class is not framed; phi-vectors: {rows}")
     chosen = analysis.framing_set
     gradient = solve_framing(
-        analysis, [JetExpr.symbol(delta_symbol(s), dim=analysis.dimension) for s in chosen]
+        analysis, [JetExpr.symbol(coeff_symbol(s), dim=analysis.dimension) for s in chosen]
     )
     residual = tuple(
         s for s in mi.sort_canonical(analysis.submaximal_set) if s not in chosen
     )
     own = {_c_param(i) for i in range(1, analysis.dimension + 1)}
-    own |= {delta_symbol(s) for s in analysis.submaximal_set}
     own |= {_p_param(u) for u in residual} | {_q_param(w) for w in analysis.interior_set}
     clash = sorted(s.text() for s in own & analysis.spec.parameters)
     if clash:
@@ -249,7 +237,7 @@ def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
             f"class parameter {', '.join(clash)} is also a parameter of the construction"
         )
     return GradientSolution(
-        analysis, chosen, tuple(gradient), residual, _dedupe(analysis.framing_assumptions)
+        analysis, tuple(gradient), residual, _dedupe(analysis.framing_assumptions)
     )
 
 
@@ -270,48 +258,39 @@ def extra_invariants(sol: GradientSolution) -> list[InvariantRecord]:
 
     For a residual submaximal vector v, substituting the solved gradient
     into Delta a_v = phi(v) . grad g yields a linear relation among the
-    Delta a_u with invariant coefficients; dropping the Deltas makes it an
+    Delta a_u with invariant coefficients, so a_v - phi(v) . grad g is an
     invariant.  When phi(v) has a single nonzero entry kappa the relation
     is divided by kappa, which reproduces the quotient forms used for
     symbolic maximal coefficients (e.g. a_220/p - a_112/3).
     """
     an = sol.analysis
-    dim = an.dimension
-    to_coeff = _delta_to_coeff(dim, an.submaximal_set)
     records = []
     for v in sol.residual_vectors:
         row = phi(an, v)
-        raw = JetExpr.symbol(delta_symbol(v), dim=dim)
+        raw = JetExpr.symbol(coeff_symbol(v), dim=an.dimension)
         for entry, g in zip(row, sol.gradient):
             raw = raw - entry * g
         nonzero = [e for e in row if not e.is_zero()]
         kappa = nonzero[0] if len(nonzero) == 1 else ONE
-        expr = substitute(raw / kappa, to_coeff)
         assumptions = _dedupe(list(sol.assumptions) + [kappa])
-        records.append(
-            InvariantRecord(
-                "extra", f"I_e{{{_vec_tag(v)}}}", expr, assumptions, target_vector=v
-            )
-        )
+        records.append(InvariantRecord(
+            "extra", f"I_e{{{_vec_tag(v)}}}", raw / kappa, assumptions, target_vector=v
+        ))
     return records
 
 
 def compatibility_invariants(sol: GradientSolution) -> list[InvariantRecord]:
     """d_j(g_{x_i}) - d_i(g_{x_j}) = 0 rearranged, for each pair i < j."""
-    an = sol.analysis
-    dim = an.dimension
+    dim = sol.analysis.dimension
     names = _var_names(dim)
-    to_coeff = _delta_to_coeff(dim, an.submaximal_set)
     records = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            mixed = sol.gradient[i].derive(j + 1, dim) - sol.gradient[j].derive(i + 1, dim)
-            expr = substitute(mixed, to_coeff)
             records.append(
                 InvariantRecord(
                     "compatibility",
                     f"I_c({names[i]},{names[j]})",
-                    expr,
+                    sol.gradient[i].derive(j + 1, dim) - sol.gradient[j].derive(i + 1, dim),
                     sol.assumptions,
                 )
             )
@@ -411,13 +390,13 @@ def _solve_param_linear(eq: JetExpr, param: BaseSymbol) -> tuple[JetExpr, JetExp
 
 
 def _solve_targets(
-    D: DiffOperator | Callable[[MultiIndex], JetExpr],
+    coefficient: Callable[[MultiIndex], JetExpr],
     targets: Iterable[MultiIndex],
     params: set[BaseSymbol],
     bindings: dict[BaseSymbol, JetExpr],
 ) -> list[JetExpr]:
-    """Bind every parameter in params so that D vanishes at every target;
-    D is an operator or the function giving its coefficient at a target.
+    """Bind every parameter in params so that an operator D vanishes at
+    every target; ``coefficient`` gives D's coefficient at a target.
 
     The pending targets are swept in order: a target whose coefficient in
     D, under the bindings so far, holds exactly one unbound parameter binds
@@ -427,7 +406,6 @@ def _solve_targets(
     SolveError when a target cannot be zeroed, when a sweep binds nothing,
     or when a parameter is left undetermined.
     """
-    coefficient = D.coefficient if isinstance(D, DiffOperator) else D
     assumptions: list[JetExpr] = []
     pending = list(dict.fromkeys(targets))
     while pending:
@@ -517,19 +495,19 @@ class _GenericParts:
         """Bindings and assumptions making D = L - C_m - sum of the B_w over
         W vanish on the maximal and submaximal vectors and on W.
 
-        The c_i solve phi(v_i) . c = (L - sum of B_w)_{v_i}, the framing
-        system with another right-hand side, so they are read off the
-        gradient ``classify.solve_framing`` gave, with its assumptions;
-        ``_solve_targets`` then forces the p_v of the residual submaximal
-        vectors and the q_w.
+        The c_i solve the framing system with (L - sum of B_w)_s for a_s,
+        so they are the gradient, with its assumptions, under the one
+        simultaneous substitution a_s -> (L - sum of B_w)_s (``substitute``
+        never iterates, so a_s may occur on the right); ``_solve_targets``
+        then forces the p_v of the residual submaximal vectors and the q_w.
         """
         sol = self.sol
         rhs = {}
-        for s in sol.chosen:
+        for s in self.analysis.framing_set:
             c = self.L.coefficient(s)
             for b in (self.b_part(w)[1].terms.get(s) for w in W):
                 c = c if b is None else c - b  # x - 0 is x
-            rhs[delta_symbol(s)] = c
+            rhs[coeff_symbol(s)] = c
         bindings = {
             _c_param(i + 1): substitute(g, rhs) for i, g in enumerate(sol.gradient)
         }
@@ -678,7 +656,7 @@ def upward_invariants_from_template(
             for s in _solver_params(f.shift, class_params)
         }
         bindings: dict[BaseSymbol, JetExpr] = {}
-        assumptions = _dedupe(_solve_targets(D, targets, params, bindings))
+        assumptions = _dedupe(_solve_targets(D.coefficient, targets, params, bindings))
         N_terms = {
             u: substitute(c, bindings) for u, c in D.terms.items()
         }

@@ -23,7 +23,6 @@ from .jetalg import (
     BaseSymbol,
     JetExpr,
     JetVariable,
-    KIND_GAUGE,
     ONE,
     Poly,
     gauge_symbol,
@@ -165,7 +164,7 @@ def op_mul(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     return DiffOperator(dim, out)
 
 
-def gauge(L: DiffOperator, gauge_name: str = "g") -> DiffOperator:
+def gauge(L: DiffOperator) -> DiffOperator:
     """The gauge action L -> e^{-g} L e^g.
 
     Each monomial c d^v becomes c * prod_i (d_i + g_{x_i})^{v_i}; the
@@ -173,9 +172,9 @@ def gauge(L: DiffOperator, gauge_name: str = "g") -> DiffOperator:
     immaterial.  Higher derivatives of g appear automatically through the
     Leibniz rule.
     """
-    gsym = gauge_symbol(gauge_name)
-    if any(s.kind == KIND_GAUGE and s.name == gauge_name for s in L.base_symbols()):
-        raise GaugeSymbolPresentError(f"operator already contains {gauge_name!r}")
+    gsym = gauge_symbol()
+    if gsym in L.base_symbols():
+        raise GaugeSymbolPresentError("operator already contains 'g'")
     dim = L.dim
     shifted: list[DiffOperator] = []
     for i in range(1, dim + 1):

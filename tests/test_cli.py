@@ -90,9 +90,9 @@ def test_invariants_hypothesis_failure_exits_2(tmp_path, capsys):
 
 
 # On d_xxy the construction names its own parameters c1, c2 (the shifts of
-# d_x, d_y), D1_1, D2_0 (Delta a_s) and q1_0, q0_1, q0_0 (the shifts of the
-# B_w); a class parameter of one of these names would be the same symbol.
-@pytest.mark.parametrize("name", ["c1", "D1_1", "q1_0"])
+# d_x, d_y) and q1_0, q0_1, q0_0 (the shifts of the B_w); a class parameter
+# of one of these names would be the same symbol.
+@pytest.mark.parametrize("name", ["c1", "q1_0"])
 def test_class_parameter_named_like_the_constructions_exits_2(tmp_path, capsys, name):
     p = JetExpr.symbol(param_symbol(name), dim=2)
     path = write_spec(tmp_path, ClassSpec(2, (((2, 1), p),)))
@@ -100,6 +100,16 @@ def test_class_parameter_named_like_the_constructions_exits_2(tmp_path, capsys, 
     code, out, err = run(capsys, ["invariants", path])
     assert (code, out) == (EXIT_HYPOTHESIS, "")
     assert f"class parameter {name} " in err
+
+
+# The framing system is solved in the framing coefficients a_s and names no
+# symbol of its own, so a class parameter such as D1_1 is only a parameter.
+def test_class_parameter_named_like_a_framing_coefficient_verifies(tmp_path, capsys):
+    p = JetExpr.symbol(param_symbol("D1_1"), dim=2)
+    path = write_spec(tmp_path, ClassSpec(2, (((2, 1), p),)))
+    code, out, _ = run(capsys, ["invariants", path, "--verify"])
+    assert code == EXIT_OK
+    assert json.loads(out)["audit"]["complete"] is True
 
 
 # A coefficient symbol a_w is the maximal coefficient at w; on any other
@@ -404,6 +414,15 @@ BAD_INPUTS = {
                                       {"vector": [0, 0], "coeff": "g"}], [], "already contains"),
     "expression_with_gauge": ("verify", {"dimension": 2, "maximal_terms": XY_TERMS},
                               ["--expr", "g"], "gauge symbol"),
+    "stage_not_solvable": ("templates", {"stages": [{**STAGE_XY, "targets": [[0, 0]]}]}, [],
+                           "stage not uniquely solvable"),
+    "solver_parameter_in_prefactor": ("templates", {"stages": [
+        {**STAGE_XY, "templates": [{**STAGE_XY["templates"][0], "prefactor": "s"}]}]}, [],
+        "contains unresolved parameters: s"),
+    "shift_not_unit_in_parameter": ("templates", {"check_closure": True, "stages": [
+        {**STAGE_XY, "templates": [{"factors": [{"powers": [[1, 0]], "shift": "2*p"},
+                                                {"powers": [[0, 1]], "shift": "q"}]}]}]}, [],
+        "must appear with unit coefficient"),
 }
 
 
@@ -422,6 +441,18 @@ def test_input_errors_exit_2(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# A path that cannot be read as a file is a fault in the input, like a
+# malformed file.  Read permission is not tested: a superuser reads any file.
+@pytest.mark.parametrize("name, make_dir", [("missing.json", False), ("specs", True)])
+def test_unreadable_spec_path_exits_1(tmp_path, capsys, name, make_dir):
+    path = tmp_path / name
+    if make_dir:
+        path.mkdir()
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_undecodable_file_exits_1(tmp_path, capsys):

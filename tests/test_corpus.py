@@ -25,9 +25,9 @@ import pytest
 from gaugeinv import multiindex as mi
 from gaugeinv.classify import ClassSpec, analyze, phi
 from gaugeinv.invariants import (
-    HypothesisError, _dedupe, complete_set, delta_symbol, is_upward_form, solve_gradient,
+    HypothesisError, _dedupe, complete_set, is_upward_form, solve_gradient,
 )
-from gaugeinv.jetalg import ONE, ZERO, JetExpr, equal, param_symbol
+from gaugeinv.jetalg import ONE, ZERO, JetExpr, coeff_symbol, equal, param_symbol
 from gaugeinv.verify import (
     DEFAULT_SEED, DeltaContext, OracleDraws, is_invariant, numeric_spot_check,
 )
@@ -132,7 +132,7 @@ def check_framing_solves(outcomes) -> int:
         sol = solve_gradient(an)
         for s in an.framing_set:
             lhs = sum((e * g for e, g in zip(phi(an, s), sol.gradient)), ZERO)
-            assert equal(lhs, JetExpr.symbol(delta_symbol(s), dim=spec.dimension)), (spec, s)
+            assert equal(lhs, JetExpr.symbol(coeff_symbol(s), dim=spec.dimension)), (spec, s)
         assert sol.assumptions == _dedupe(an.framing_assumptions), spec
         checked += 1
     return checked

@@ -17,7 +17,6 @@ from gaugeinv.invariants import (
     check_gauge_closure,
     compatibility_invariants,
     complete_set,
-    delta_symbol,
     extra_invariants,
     hyperbolic_templates_3d,
     is_upward_form,
@@ -65,17 +64,18 @@ def by_target(records):
 
 def test_solve_gradient_xxy():
     sol = solve_gradient(analyze(fx.spec_xxy()))
-    d11 = JetExpr.symbol(delta_symbol((1, 1)), dim=2)
-    d20 = JetExpr.symbol(delta_symbol((2, 0)), dim=2)
-    assert sol.gradient == (d11 / JetExpr.const(2), d20)
+    a11 = JetExpr.symbol(coeff_symbol((1, 1)), dim=2)
+    a20 = JetExpr.symbol(coeff_symbol((2, 0)), dim=2)
+    assert sol.gradient == (a11 / JetExpr.const(2), a20)
     assert sol.residual_vectors == ()
 
 
 def test_solve_gradient_five_order_3d():
-    sol = solve_gradient(analyze(fx.spec_five_order_3d()))
-    d = lambda v: JetExpr.symbol(delta_symbol(v), dim=3)
-    assert sol.chosen == ((0, 1, 3), (1, 0, 3), (1, 1, 2))
-    assert sol.gradient == (d((0, 1, 3)), d((1, 0, 3)), d((1, 1, 2)) / JetExpr.const(3))
+    an = analyze(fx.spec_five_order_3d())
+    sol = solve_gradient(an)
+    a = lambda v: JetExpr.symbol(coeff_symbol(v), dim=3)
+    assert an.framing_set == ((0, 1, 3), (1, 0, 3), (1, 1, 2))
+    assert sol.gradient == (a((0, 1, 3)), a((1, 0, 3)), a((1, 1, 2)) / JetExpr.const(3))
     assert len(sol.residual_vectors) == 5
 
 
@@ -311,7 +311,7 @@ def test_solve_targets_defers_a_target_with_two_parameters():
     p, q = param_symbol("p"), param_symbol("q")
     D = DiffOperator(2, {(1, 0): P("p + q"), (0, 1): P("q - a[0,1]")})
     bindings = {}
-    assumptions = _solve_targets(D, [(1, 0), (0, 1)], {p, q}, bindings)
+    assumptions = _solve_targets(D.coefficient, [(1, 0), (0, 1)], {p, q}, bindings)
     assert bindings == {q: P("a[0,1]"), p: P("-a[0,1]")}
     assert assumptions == []
     for t in D.terms:
@@ -321,14 +321,14 @@ def test_solve_targets_defers_a_target_with_two_parameters():
 def test_solve_targets_rejects_residual_without_parameter():
     D = DiffOperator(2, {(1, 0): P("a[1,0]")})
     with pytest.raises(SolveError, match="cannot be zeroed"):
-        _solve_targets(D, [(1, 0)], {param_symbol("p")}, {})
+        _solve_targets(D.coefficient, [(1, 0)], {param_symbol("p")}, {})
 
 
 def test_solve_targets_rejects_undetermined_parameter():
     p, q = param_symbol("p"), param_symbol("q")
     D = DiffOperator(2, {(1, 0): P("p - a[1,0]")})
     with pytest.raises(SolveError, match="undetermined: q"):
-        _solve_targets(D, [(1, 0)], {p, q}, {})
+        _solve_targets(D.coefficient, [(1, 0)], {p, q}, {})
 
 
 def test_generic_constructions_raise_on_bad_hypotheses():
