@@ -11,13 +11,12 @@ solves the framing system by the same row reduction (``solve_framing``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from . import multiindex as mi
 from .grammar import InputError, parse_expr, print_expr
-from .jetalg import BaseSymbol, JetExpr, KIND_COEFF, KIND_GAUGE, KIND_PARAM, coeff_symbol
+from .jetalg import JetExpr, KIND_COEFF, KIND_GAUGE, KIND_PARAM, _Frozen, coeff_symbol
 from .multiindex import MultiIndex
 from .opalg import DiffOperator
 
@@ -40,51 +39,45 @@ def _valid_coefficient(c: JetExpr) -> bool:
             and c == JetExpr.symbol(v.base, v.deriv))
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """Dimension plus the maximal terms (vector, coefficient) of the class."""
+class ClassSpec(_Frozen):
+    """Dimension plus the maximal terms (vector, coefficient) of the class;
+    ``maximal_set`` holds the maximal vectors and ``parameters`` the named
+    parameters among the maximal coefficients (p, q, ...)."""
 
-    dimension: int
-    maximal_terms: tuple[tuple[MultiIndex, JetExpr], ...]
+    __slots__ = ("dimension", "maximal_terms", "maximal_set", "parameters")
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ClassSpecError(f"dimension must be >= 1, got {self.dimension}")
-        if not self.maximal_terms:
+    def __init__(self, dimension: int, maximal_terms: tuple[tuple[MultiIndex, JetExpr], ...]):
+        if dimension < 1:
+            raise ClassSpecError(f"dimension must be >= 1, got {dimension}")
+        if not maximal_terms:
             raise ClassSpecError("at least one maximal term is required")
-        for v, _ in self.maximal_terms:
+        for v, _ in maximal_terms:
             try:
-                mi.check_index(v, self.dimension)
+                mi.check_index(v, dimension)
             except ValueError as exc:
                 raise ClassSpecError(f"invalid maximal vector: {exc}") from exc
-        if len(self.maximal_set) != len(self.maximal_terms):
+        maximal_set = frozenset(v for v, _ in maximal_terms)
+        if len(maximal_set) != len(maximal_terms):
             raise ClassSpecError("duplicate maximal vectors")
-        if not mi.is_antichain(self.maximal_set):
+        if not mi.is_antichain(maximal_set):
             raise ClassSpecError("maximal vectors must form an antichain")
-        for v, c in self.maximal_terms:
+        for v, c in maximal_terms:
             if not _valid_coefficient(c):
                 raise ClassSpecError(
                     f"coefficient of {v} must be a nonzero constant or a single "
                     "symbol other than g"
                 )
             for s in c.base_symbols():
-                if s.kind == KIND_COEFF and s.vector not in self.maximal_set:
+                if s.kind == KIND_COEFF and s.vector not in maximal_set:
                     raise ClassSpecError(
                         f"coefficient {s.text()} of {v} must name a maximal vector"
                     )
-
-    @cached_property
-    def maximal_set(self) -> frozenset[MultiIndex]:
-        """The maximal vectors."""
-        return frozenset(v for v, _ in self.maximal_terms)
-
-    @cached_property
-    def parameters(self) -> frozenset[BaseSymbol]:
-        """The named parameters among the maximal coefficients (p, q, ...)."""
-        return frozenset(
-            s for _, c in self.maximal_terms for s in c.base_symbols()
-            if s.kind == KIND_PARAM
-        )
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "maximal_terms", maximal_terms)
+        object.__setattr__(self, "maximal_set", maximal_set)
+        object.__setattr__(self, "parameters", frozenset(
+            s for _, c in maximal_terms for s in c.base_symbols() if s.kind == KIND_PARAM
+        ))
 
     def maximal_vectors(self) -> list[MultiIndex]:
         return mi.sort_canonical(v for v, _ in self.maximal_terms)
@@ -122,8 +115,7 @@ class ClassSpec:
             return ClassSpec.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
+class ClassAnalysis(NamedTuple):
     """Term lattice classification and hypothesis flags for a class."""
 
     spec: ClassSpec

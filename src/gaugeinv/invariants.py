@@ -23,10 +23,9 @@ is also provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import jetalg
 from . import multiindex as mi
@@ -43,6 +42,7 @@ from .jetalg import (
     ONE,
     Poly,
     ZERO,
+    _Frozen,
     coeff_symbol,
     gauge_symbol,
     param_symbol,
@@ -87,8 +87,7 @@ def _var_names(n: int) -> list[str]:
     return ["x", "y", "z"][:n] if n <= 3 else [f"x{i}" for i in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """An incomplete factorization L = C + N backing an upward invariant."""
 
     templates: tuple[FactorTemplate, ...]
@@ -104,20 +103,24 @@ class Representation:
         }
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    kind: str  # maximal | extra | compatibility | upward
-    label: str
-    expression: JetExpr
-    assumptions: tuple[JetExpr, ...] = ()
-    target_vector: MultiIndex | None = None
-    representation: Representation | None = None
+class InvariantRecord(_Frozen):
+    """One invariant: its kind (maximal, extra, compatibility or upward),
+    label, expression and the assumptions it holds under."""
 
-    def __post_init__(self):
-        if any(s.kind == KIND_GAUGE for s in self.expression.base_symbols()):
-            raise GaugeSymbolPresentError(
-                f"invariant {self.label} contains the gauge symbol"
-            )
+    __slots__ = ("kind", "label", "expression", "assumptions", "target_vector",
+                 "representation")
+
+    def __init__(self, kind: str, label: str, expression: JetExpr,
+                 assumptions: tuple[JetExpr, ...] = (), target_vector: MultiIndex | None = None,
+                 representation: Representation | None = None):
+        if any(s.kind == KIND_GAUGE for s in expression.base_symbols()):
+            raise GaugeSymbolPresentError(f"invariant {label} contains the gauge symbol")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "expression", expression)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "target_vector", target_vector)
+        object.__setattr__(self, "representation", representation)
 
     def to_json(self) -> dict:
         out = {
@@ -167,8 +170,7 @@ def _upward_record(
     )
 
 
-@dataclass(frozen=True)
-class GradientSolution:
+class GradientSolution(NamedTuple):
     """The solved framing system Delta a_s = phi(s) . grad g, a_s for Delta a_s."""
 
     analysis: ClassAnalysis
@@ -401,15 +403,16 @@ def _solve_targets(
     The pending targets are swept in order: a target whose coefficient in
     D, under the bindings so far, holds exactly one unbound parameter binds
     it by ``_solve_param_linear``; one holding none must vanish; one
-    holding several waits for a later sweep.  ``bindings`` grows in place
-    and the non-constant pivots are returned as assumptions.  Raises
-    SolveError when a target cannot be zeroed, when a sweep binds nothing,
-    or when a parameter is left undetermined.
+    holding several waits for a later sweep.  A sweep that binds nothing
+    leaves the next one the same, so len(pending) sweeps solve whatever can
+    be solved.  ``bindings`` grows in place and the non-constant pivots are
+    returned as assumptions.  Raises SolveError when a target cannot be
+    zeroed, when a target is left after the sweeps, or when a parameter is
+    left undetermined.
     """
     assumptions: list[JetExpr] = []
     pending = list(dict.fromkeys(targets))
-    while pending:
-        progress = False
+    for _ in range(len(pending)):
         for t in list(pending):
             eq = substitute(coefficient(t), bindings)
             present = {
@@ -428,12 +431,11 @@ def _solve_targets(
                     f"target {t} cannot be zeroed: residual {print_expr(eq)}"
                 )
             pending.remove(t)
-            progress = True
-        if not progress:
-            raise SolveError(
-                "stage not uniquely solvable; unresolved targets "
-                + ", ".join(map(str, pending))
-            )
+    if pending:
+        raise SolveError(
+            "stage not uniquely solvable; unresolved targets "
+            + ", ".join(map(str, pending))
+        )
     unsolved = params - set(bindings)
     if unsolved:
         raise SolveError(
@@ -497,17 +499,19 @@ class _GenericParts:
 
         The c_i solve the framing system with (L - sum of B_w)_s for a_s,
         so they are the gradient, with its assumptions, under the one
-        simultaneous substitution a_s -> (L - sum of B_w)_s (``substitute``
-        never iterates, so a_s may occur on the right); ``_solve_targets``
-        then forces the p_v of the residual submaximal vectors and the q_w.
+        simultaneous substitution a_s -> (L - sum of B_w)_s, bound only
+        where some B_w has a term at s (``substitute`` never iterates, so
+        a_s may occur on the right); ``_solve_targets`` then forces the p_v
+        of the residual submaximal vectors and the q_w.
         """
         sol = self.sol
         rhs = {}
         for s in self.analysis.framing_set:
-            c = self.L.coefficient(s)
+            c = a_s = self.L.coefficient(s)
             for b in (self.b_part(w)[1].terms.get(s) for w in W):
                 c = c if b is None else c - b  # x - 0 is x
-            rhs[coeff_symbol(s)] = c
+            if c is not a_s:  # no B_w has a term at s: a_s -> a_s is the identity
+                rhs[coeff_symbol(s)] = c
         bindings = {
             _c_param(i + 1): substitute(g, rhs) for i, g in enumerate(sol.gradient)
         }
@@ -783,21 +787,3 @@ def complete_set(spec: ClassSpec) -> tuple[list[InvariantRecord], dict]:
     }
     return records, audit
 
-
-def is_upward_form(record: InvariantRecord, analysis: ClassAnalysis) -> bool:
-    """Check the structural condition on an upward record: the expression
-    is a_v - E where E references only coefficients of vectors strictly
-    above v, or maximal/submaximal vectors."""
-    v = record.target_vector
-    if v is None:
-        return False
-    a_v = JetExpr.symbol(coeff_symbol(v), dim=analysis.dimension)
-    E = a_v - record.expression
-    allowed = analysis.maximal_set | analysis.submaximal_set | {
-        u for u in analysis.all_vectors if mi.below(v, u)
-    }
-    return all(
-        s.vector in allowed
-        for s in E.base_symbols()
-        if s.kind == KIND_COEFF
-    )

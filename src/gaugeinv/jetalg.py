@@ -46,6 +46,28 @@ class NotLinearError(ValueError):
     """An expression is not of the form A*p + B in a symbol p."""
 
 
+class _Frozen:
+    """Base of the slotted value classes: ``__init__`` sets each slot through
+    ``object.__setattr__``, no slot can be assigned or deleted after, and
+    two values of one class are equal when their slots are."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class BaseSymbol(NamedTuple):
     kind: str
     vector: MultiIndex | None  # owner vector for coefficients

@@ -12,10 +12,9 @@ monomial and expanding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import multiindex as mi
 from .grammar import InputError, parse_expr, print_expr
@@ -25,6 +24,7 @@ from .jetalg import (
     JetVariable,
     ONE,
     Poly,
+    _Frozen,
     gauge_symbol,
     substitute,
 )
@@ -43,17 +43,17 @@ def _clean(terms: Mapping[MultiIndex, JetExpr]) -> dict[MultiIndex, JetExpr]:
     return {v: c for v, c in terms.items() if not c.is_zero()}
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(_Frozen):
     """Finite map MultiIndex -> JetExpr; zero coefficients are dropped."""
 
-    dim: int
-    terms: dict[MultiIndex, JetExpr] = field(default_factory=dict)
+    __slots__ = ("dim", "terms")
 
-    def __post_init__(self):
-        for v in self.terms:
-            mi.check_index(v, self.dim)
-        object.__setattr__(self, "terms", _clean(self.terms))
+    def __init__(self, dim: int, terms: Mapping[MultiIndex, JetExpr] | None = None):
+        terms = {} if terms is None else terms
+        for v in terms:
+            mi.check_index(v, dim)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", _clean(terms))
 
     @staticmethod
     def zero(dim: int) -> "DiffOperator":
@@ -197,8 +197,7 @@ def gauge(L: DiffOperator) -> DiffOperator:
     return total
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One factor (d^w1 + d^w2 + ... + shift) of a template.
 
     Most factors have a single derivative power (d_x + q), but sums such
@@ -223,15 +222,13 @@ class Factor:
         return DiffOperator(dim, terms)
 
 
-@dataclass(frozen=True)
-class FactorTemplate:
-    """Ordered product prefactor * (d^w1 + q1) ... (d^wk + qk)."""
+class FactorTemplate(NamedTuple):
+    """Ordered product prefactor * (d^w1 + q1) ... (d^wk + qk), an immutable
+    value; the prefactor defaults to the shared constant ONE."""
 
     dim: int
     factors: tuple[Factor, ...]
-    # JetExpr is unhashable by design, so dataclasses (3.11+) rejects it
-    # as a plain default; the factory hands out the shared constant ONE.
-    prefactor: JetExpr = field(default_factory=lambda: ONE)
+    prefactor: JetExpr = ONE
 
     def text(self) -> str:
         parts = []

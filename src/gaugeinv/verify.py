@@ -20,10 +20,10 @@ identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as _cartesian
 from math import comb, prod
+from typing import NamedTuple
 
 from . import multiindex as mi
 from .classify import ClassSpec, class_operator
@@ -55,9 +55,9 @@ class UnknownCoefficientError(InputError):
     """Expression references a coefficient or a parameter the class lacks."""
 
 
-@dataclass(frozen=True)
-class DeltaContext:
-    """Frozen gauge data for one class: L, L', and the a_v -> a'_v map."""
+class DeltaContext(NamedTuple):
+    """The gauge data of one class, an immutable value: L, L' and the
+    a_v -> a'_v map."""
 
     spec: ClassSpec
     operator: DiffOperator

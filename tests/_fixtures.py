@@ -1,9 +1,11 @@
-"""Shared fixture classes, and the paper's worked examples built on them."""
+"""Shared fixture classes, the paper's worked examples built on them, and the
+structural check of an upward record."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gaugeinv.classify import ClassSpec, analyze
+from gaugeinv import multiindex as mi
+from gaugeinv.classify import ClassAnalysis, ClassSpec, analyze
 from gaugeinv.grammar import parse_expr
 from gaugeinv.invariants import (
     InvariantRecord,
@@ -13,7 +15,7 @@ from gaugeinv.invariants import (
     solve_gradient,
     upward_invariants_from_template,
 )
-from gaugeinv.jetalg import JetExpr, ONE, coeff_symbol
+from gaugeinv.jetalg import JetExpr, KIND_COEFF, ONE, coeff_symbol
 
 
 def spec_xy() -> ClassSpec:
@@ -151,4 +153,23 @@ def x3_strict_upward(
     return (
         InvariantRecord("upward", "I_{10}*", first, assumptions, target_vector=(1, 0)),
         InvariantRecord("upward", "I_{01}*", second, assumptions, target_vector=(0, 1)),
+    )
+
+
+def is_upward_form(record: InvariantRecord, analysis: ClassAnalysis) -> bool:
+    """Check the structural condition on an upward record: the expression
+    is a_v - E where E references only coefficients of vectors strictly
+    above v, or maximal/submaximal vectors."""
+    v = record.target_vector
+    if v is None:
+        return False
+    a_v = JetExpr.symbol(coeff_symbol(v), dim=analysis.dimension)
+    E = a_v - record.expression
+    allowed = analysis.maximal_set | analysis.submaximal_set | {
+        u for u in analysis.all_vectors if mi.below(v, u)
+    }
+    return all(
+        s.vector in allowed
+        for s in E.base_symbols()
+        if s.kind == KIND_COEFF
     )

@@ -1,7 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -19,7 +18,7 @@ from gaugeinv.cli import (
 )
 from gaugeinv.classify import ClassSpec, class_operator
 from gaugeinv.grammar import parse_expr, print_expr
-from gaugeinv.invariants import complete_set
+from gaugeinv.invariants import InvariantRecord, complete_set
 from gaugeinv.jetalg import JetExpr, param_symbol
 from gaugeinv.opalg import DiffOperator
 from gaugeinv import verify
@@ -261,7 +260,8 @@ def test_invariants_verify_failure_prints_the_residual(tmp_path, capsys, monkeyp
     def poisoned(spec):
         records, audit = complete_set(spec)
         last = records[-1]
-        bad = dataclasses.replace(last, expression=last.expression + parse_expr("a[0,0]", 2))
+        bad = InvariantRecord(last.kind, last.label, last.expression + parse_expr("a[0,0]", 2),
+                              last.assumptions, last.target_vector, last.representation)
         return records[:-1] + [bad], audit
 
     monkeypatch.setattr(cli, "complete_set", poisoned)

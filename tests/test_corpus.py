@@ -25,12 +25,14 @@ import pytest
 from gaugeinv import multiindex as mi
 from gaugeinv.classify import ClassSpec, analyze, phi
 from gaugeinv.invariants import (
-    HypothesisError, _dedupe, complete_set, is_upward_form, solve_gradient,
+    HypothesisError, _dedupe, complete_set, solve_gradient,
 )
 from gaugeinv.jetalg import ONE, ZERO, JetExpr, coeff_symbol, equal, param_symbol
 from gaugeinv.verify import (
     DEFAULT_SEED, DeltaContext, OracleDraws, is_invariant, numeric_spot_check,
 )
+
+from _fixtures import is_upward_form
 
 # (dimension, highest order) of each part of the corpus
 PARTS = ((1, 4), (2, 4), (3, 2))

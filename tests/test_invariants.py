@@ -19,7 +19,6 @@ from gaugeinv.invariants import (
     complete_set,
     extra_invariants,
     hyperbolic_templates_3d,
-    is_upward_form,
     maximal_invariants,
     recursive_hyperbolic_bottom,
     solve_gradient,
@@ -30,7 +29,7 @@ from gaugeinv.invariants import (
     _solve_param_linear,
     _solve_targets,
 )
-from gaugeinv import multiindex as mi
+from gaugeinv import jetalg, multiindex as mi
 from gaugeinv.jetalg import (
     JetExpr, ONE, ZERO, coeff_symbol, map_jets, param_symbol, proportional, substitute,
 )
@@ -247,7 +246,7 @@ def test_generic_upward_records_are_upward_form():
         an = analyze(make())
         for v in an.interior_set:
             rec = upward_invariant_generic(an, v)
-            assert is_upward_form(rec, an), (make.__name__, v)
+            assert fx.is_upward_form(rec, an), (make.__name__, v)
 
 
 def test_generic_upward_all_verified_xxxyy():
@@ -611,6 +610,22 @@ def test_complete_set_solves_once_per_distinct_W(monkeypatch):
     assert audit["counts"]["upward"] == 11
     assert counts["solve"] == 6
     assert counts["derive"] <= 108
+
+
+def test_complete_set_binds_only_the_framing_coefficients_a_b_w_reaches(monkeypatch):
+    # A solve binds a_s only where some B_w of W has a term at s; elsewhere
+    # a_s -> a_s is the identity, and with W = () no gradient is mapped.
+    calls = []
+    map_jets = jetalg.map_jets
+
+    def counted(e, value):
+        calls.append(e)
+        return map_jets(e, value)
+
+    monkeypatch.setattr(jetalg, "map_jets", counted)
+    records, audit = complete_set(ClassSpec(4, (((1, 1, 1, 1), ONE),)))
+    assert audit["complete"]
+    assert len(calls) == 44
 
 
 def _derive_chain(e: JetExpr, deriv) -> JetExpr:
