@@ -15,7 +15,9 @@ verify <spec.json> --expr <expr> [--seed K]
 Exit codes: 0 success, 1 parse error, 2 any other invalid input (an
 InputError: a hypothesis failure, a malformed spec, operator or template,
 an unsolvable stage, ...), 3 verification failure, 4 internal error (any
-other exception, reported as one line on stderr instead of a traceback).
+other exception, reported as one line on stderr instead of a traceback),
+141 (128 + SIGPIPE) when stdout is closed before the output is written, as
+under ``| head -1``; that prints nothing.
 
 Template files are JSON of the form::
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable
 
@@ -59,6 +62,7 @@ EXIT_PARSE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +317,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except BrokenPipeError:  # nobody reads stdout: write the rest, and the final flush, nowhere
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # a fault in gaugeinv, not in the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

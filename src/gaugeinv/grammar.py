@@ -39,8 +39,8 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())  # a match takes the whitespace before its token
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ExprParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
@@ -67,8 +67,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def ints(self) -> tuple[int, ...]:
-        self.take("[")
+    def ints(self, opening: str = "[") -> tuple[int, ...]:
+        self.take(opening)
         out = []
         if self.peek() != "]":
             while True:
@@ -95,9 +95,7 @@ class _Parser:
         else:
             base = param_symbol(name)
         if self.peek() == ";[":
-            self.take(";[")
-            self.tokens.insert(self.pos, "[")
-            deriv = self.ints()
+            deriv = self.ints(";[")
         else:
             if self.dim is None:
                 raise ExprParseError(

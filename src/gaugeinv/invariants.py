@@ -648,12 +648,14 @@ def upward_invariants_from_template(
     emitted: set[MultiIndex] = set()
     cumulative: list[FactorTemplate] = []
     targets: list[MultiIndex] = []
+    C = None
     for stage_templates, new_targets in zip(stages, stage_targets):
         cumulative.extend(stage_templates)
         targets.extend(tuple(t) for t in new_targets)
         if check_closure:
             check_gauge_closure(cumulative, analysis.maximal_set, class_params)
-        C = expand_sum(cumulative)
+        # expand_sum(cumulative) as the same left fold, each template expanded once
+        C = expand_sum(cumulative) if C is None else sum(map(expand_template, stage_templates), C)
         D = L - C
         params = {
             s for t in cumulative for f in t.factors

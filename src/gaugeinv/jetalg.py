@@ -17,9 +17,12 @@ without a key function; the printed order is defined only by ``_mono_key``
 and ``Poly.sorted_terms``, which order the factors by ``_var_key``.
 Only ``map_jets`` packs monomials into ints, in an encoding local to one call
 (a bit field per variable, too wide to carry) with the coefficients as
-integers over one common denominator; only ``Mono`` tuples leave it.  Its term
-loop serves denominators of several terms, where the order of summation fixes
-the normal form, and all-one-term images, where packing costs more than it saves.
+integers over one common denominator.  It cancels the monomial content in
+that encoding and decodes to ``Mono`` tuples already in normal form, so its
+result skips ``JetExpr.__init__``.  It packs in plain loops: under Python 3.11
+every comprehension is a function call.  Its term loop serves denominators of
+several terms, where the order of summation fixes the normal form, and
+all-one-term images, where packing costs more than it saves.
 
 Coefficients are exact rationals held as a plain ``int`` whenever they are
 integral and as a ``Fraction`` only otherwise; every operation hands back
@@ -143,13 +146,9 @@ def _inverse(c) -> Fraction:
     return Fraction(1, c) if type(c) is int else 1 / c
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _mono_key(m: Mono):
     """Canonical monomial order: graded, then by variable keys."""
-    return (-_mono_degree(m), tuple(sorted((_var_key(v), -e) for v, e in m)))
+    return (-sum(e for _, e in m), tuple(sorted((_var_key(v), -e) for v, e in m)))
 
 
 class Poly:
@@ -322,6 +321,13 @@ class JetExpr:
                 den = den.scale(inv)
         self.num, self.den = num, den
 
+    @staticmethod
+    def _canonical(num: Poly, den: Poly) -> "JetExpr":
+        """num/den taken as it is: the caller has put it in normal form."""
+        e = object.__new__(JetExpr)
+        e.num, e.den = num, den
+        return e
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(c) -> "JetExpr":
@@ -477,7 +483,12 @@ def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
     the images, as wide as twice the largest sum k * (deg num(v) + deg den(v))
     over the terms, so no field can carry), sums integer coefficients over
     one common denominator and keeps the term order of the chain of
-    ``Poly.__mul__`` products.
+    ``Poly.__mul__`` products.  The monomial content of numerator over M lies
+    in the fields of M alone: their minimum over M and the terms is
+    subtracted before decoding, so the quotient is built in normal form
+    without ``JetExpr.__init__``.  Decoding takes the highest field first,
+    found by ``int.bit_length``.  The pass runs in plain loops, with no
+    Python call per monomial, since in Python 3.11 each comprehension is one.
     """
     images = {v: value(v) for v in e.variables()}
     if (any(len(x.den.terms) > 1 for x in images.values())
@@ -500,27 +511,42 @@ def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
             (den,) = x.den.terms
             names.update(*x.num.terms, den)
             under.update(den)
-            weight[v] = max(map(_mono_degree, x.num.terms), default=0) + _mono_degree(den)
-        order = sorted({w for w, _ in names})
-        width = (2 * max([sum([weight[v] * k for v, k in m])
-                          for m in (*e.num.terms, *e.den.terms)])).bit_length()
-        index = {w: i for i, w in enumerate(order)}
-        code = {f: f[1] << index[f[0]] * width for f in names}
+            most = 0
+            for m in x.num.terms:
+                k = 0
+                for f in m:
+                    k += f[1]
+                if k > most:
+                    most = k
+            for f in den:
+                most += f[1]
+            weight[v] = most
+        most = 0
+        for m in (*e.num.terms, *e.den.terms):
+            k = 0
+            for v, j in m:
+                k += weight[v] * j
+            if k > most:
+                most = k
+        width = (2 * most).bit_length()
         mask = (1 << width) - 1
-        dens, scales, nums, powers = {}, {}, {}, {}  # num(v) = nums[v] / scales[v]
+        order = sorted({w for w, _ in names})
+        shift = {w: i * width for i, w in enumerate(order)}
+        code = {f: f[1] << shift[f[0]] for f in names}
+        fields = sorted({shift[w] for w, _ in under})
+        packed = {}  # v -> (den(v), q, q * num(v)), q the lcm of num(v)'s denominators
         for v, x in images.items():
-            dens[v] = sum(map(code.__getitem__, next(iter(x.den.terms))))
-            scales[v] = q = lcm(*[c.denominator for c in x.num.terms.values()])
-            nums[v] = {sum(map(code.__getitem__, m)): c.numerator * (q // c.denominator)
-                       for m, c in x.num.terms.items()}
-
-        def decode(m: int) -> Mono:
-            out = []
-            while m:  # lowest set field first, which is natural order
-                i = ((m & -m).bit_length() - 1) // width
-                out.append((order[i], m >> i * width & mask))
-                m &= ~(mask << i * width)
-            return tuple(out)
+            q = lcm(*[c.denominator for c in x.num.terms.values()])
+            num = {}
+            for m, c in x.num.terms.items():
+                d = 0
+                for f in m:
+                    d += code[f]
+                num[d] = c if q == 1 else c.numerator * (q // c.denominator)
+            d = 0
+            for f in next(iter(x.den.terms)):
+                d += code[f]
+            packed[v] = d, q, num
 
         def times(a: dict, b: dict) -> dict:  # Poly.__mul__, term order included
             if len(b) == 1:
@@ -537,29 +563,52 @@ def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
             return out
 
         def apply(p: Poly) -> JetExpr:
-            rows = []  # per term: its denominator, packed, and its integer one
+            rows = []  # per term: its packed and its integer denominator, c, prod num(v)^k
             for mono, c in p.terms.items():
-                d, q = 0, c.denominator
-                for v, k in mono:
-                    d += dens[v] * k
-                    q *= scales[v] ** k
-                rows.append((d, q))
-            top = sum([max([d >> i * width & mask for d, _ in rows]) << i * width
-                       for i in {index[w] for w, _ in under}]) if under else 0
-            common = lcm(*[q for _, q in rows])
-            out: dict[int, int] = {}
-            for (mono, c), (d, q) in zip(p.terms.items(), rows):
-                t = {top - d: c.numerator * (common // q)}
+                d, q, t = 0, c.denominator, None
                 for f in mono:
-                    if f not in powers:
-                        powers[f] = nums[f[0]]
-                        for _ in range(f[1] - 1):
-                            powers[f] = times(powers[f], nums[f[0]])
-                    t = times(t, powers[f])
-                for m, x in t.items():
-                    out[m] = out.get(m, 0) + x
-            return JetExpr(Poly({decode(m): x if common == 1 else _exact(Fraction(x, common))
-                                 for m, x in out.items() if x}), Poly({decode(top): 1}))
+                    fd, fq, b = packed[f[0]]
+                    for _ in range(f[1] - 1):  # num(v)^k as a chain of products
+                        b = times(b, packed[f[0]][2])
+                    d += fd * f[1]
+                    q *= fq ** f[1]
+                    t = b if t is None else times(t, b)
+                rows.append((d, q, c, t))
+            top = 0
+            for s in fields:  # the lcm of the term denominators, field by field
+                k = 0
+                for d, _, _, _ in rows:
+                    if d >> s & mask > k:
+                        k = d >> s & mask
+                top += k << s
+            common = lcm(*[q for _, q, _, _ in rows])
+            out: dict[int, int] = {}
+            for d, q, c, t in rows:  # c * t * (top / d) over common
+                m0, c0 = top - d, c.numerator * (common // q)
+                for m, x in ({0: 1} if t is None else t).items():
+                    out[m0 + m] = out.get(m0 + m, 0) + c0 * x
+            content = 0  # shared by top and every term: Poly has no zero terms
+            for s in fields:
+                k = top >> s & mask
+                for m, x in out.items():
+                    if x and m >> s & mask < k:
+                        k = m >> s & mask
+                content += k << s
+            num = {}
+            for m, x in out.items():
+                if x:  # decode top-down: the highest field first, reversed at the end
+                    m -= content
+                    mono = []
+                    while m:
+                        i = (m.bit_length() - 1) // width
+                        k = m >> i * width
+                        mono.append((order[i], k))
+                        m ^= k << i * width
+                    mono.reverse()
+                    num[tuple(mono)] = x if common == 1 else _exact(Fraction(x, common))
+            top -= content
+            den = tuple((order[s // width], top >> s & mask) for s in fields if top >> s & mask)
+            return JetExpr._canonical(Poly(num), Poly({den: 1}) if den else _ONE_POLY)
 
     num = apply(e.num)
     return num if e.den is _ONE_POLY else num / apply(e.den)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 import gaugeinv.cli as cli
 from gaugeinv.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_HYPOTHESIS,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -354,6 +356,38 @@ def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatc
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: RuntimeError: broken command\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+def test_closed_stdout_exits_141_and_prints_nothing(tmp_path, capsys, monkeypatch, command):
+    path = write_spec(tmp_path, fx.spec_xxy())
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main([command, path])
+    assert code == EXIT_BROKEN_PIPE == 141
+    sys.stdout.write("the final flush\n")  # stdout now discards what is left
+    sys.stdout.flush()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--expr", "a[2,1] \n"]],
+                         ids=["spec", "spec and expr"])
+def test_trailing_whitespace_is_not_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "maximal_terms": [{"vector": [2, 1], "coefficient": "1 "}]}
+    ))
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, err) == (EXIT_OK, "")
 
 
 XY_TERMS = [{"vector": [1, 1], "coefficient": "1"}]

@@ -67,6 +67,11 @@ def test_parse_errors():
             parse_expr(bad, 2)
 
 
+@pytest.mark.parametrize("text", ["a[1,0] ", "a[1,0]\n", " a[1,0];[0,1] \t\n"])
+def test_surrounding_whitespace_is_ignored(text):
+    assert parse_expr(text) == parse_expr(text.strip())
+
+
 def test_division_by_identically_zero_expression():
     for bad in ("1/0", "a[1,0]/(a[0,1]-a[0,1])", "0^-1", "a[1,0]^-2/(2-2)"):
         with pytest.raises(ExprParseError, match="identically-zero"):

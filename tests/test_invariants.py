@@ -29,11 +29,11 @@ from gaugeinv.invariants import (
     _solve_param_linear,
     _solve_targets,
 )
-from gaugeinv import jetalg, multiindex as mi
+from gaugeinv import invariants, jetalg, multiindex as mi, opalg
 from gaugeinv.jetalg import (
     JetExpr, ONE, ZERO, coeff_symbol, map_jets, param_symbol, proportional, substitute,
 )
-from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, expand_sum
+from gaugeinv.opalg import DiffOperator, Factor, FactorTemplate, OperatorSpecError, expand_sum
 from gaugeinv.verify import DeltaContext, is_invariant, numeric_spot_check
 
 import _fixtures as fx
@@ -626,6 +626,30 @@ def test_complete_set_binds_only_the_framing_coefficients_a_b_w_reaches(monkeypa
     records, audit = complete_set(ClassSpec(4, (((1, 1, 1, 1), ONE),)))
     assert audit["complete"]
     assert len(calls) == 44
+
+
+def test_staged_engine_expands_each_template_once(monkeypatch):
+    # stage 2 adds its three templates to the running sum of stage 1; the
+    # template of stage 1 is not expanded again
+    calls = []
+    expand_template = opalg.expand_template
+
+    def counted(t):
+        calls.append(t)
+        return expand_template(t)
+
+    monkeypatch.setattr(opalg, "expand_template", counted)
+    monkeypatch.setattr(invariants, "expand_template", counted)
+    stages, targets = hyperbolic_templates_3d()
+    records = upward_invariants_from_template(analyze(fx.spec_xyz()), stages, targets)
+    assert [r.label for r in records]
+    assert len(calls) == 4
+
+
+def test_staged_engine_refuses_an_empty_first_stage():
+    stages, targets = hyperbolic_templates_3d()
+    with pytest.raises(OperatorSpecError, match="empty template sum"):
+        upward_invariants_from_template(analyze(fx.spec_xyz()), [[], *stages], [[], *targets])
 
 
 def _derive_chain(e: JetExpr, deriv) -> JetExpr:

@@ -322,6 +322,15 @@ def _map_jets_by_products(e, value):
     return num if e.den.is_const() else num / apply_poly(e.den)
 
 
+def _assert_normal(got):
+    """got is in normal form already: normalising it again changes no term, and
+    its denominator is the shared unit exactly when it is 1."""
+    again = JetExpr(got.num, got.den)
+    assert list(again.num.terms.items()) == list(got.num.terms.items())
+    assert list(again.den.terms.items()) == list(got.den.terms.items())
+    assert (got.den is ONE.den) == (got.den.terms == {(): 1})
+
+
 def _assert_same_map(got, e, images):
     """got equals the term-by-term map, with the terms of the chain of products in its order."""
     want = _map_jets_by_terms(e, images.__getitem__)
@@ -382,6 +391,7 @@ def test_map_jets_matches_the_term_by_term_map(e, extra, kinds, data):
             map_jets(e, images.__getitem__)
         return
     got = map_jets(e, images.__getitem__)
+    _assert_normal(got)
     assert equal(got, want)
     if all(len(images[v].den.terms) == 1 for v in e.variables()):
         _assert_same_map(got, e, images)
@@ -415,6 +425,9 @@ MAP_EDGES = {
     # the zeroed first term must not place a[0,2] ahead of a[2,2]
     "a zero image before a term of the same image": (
         a(1, 0) * a(0, 1) + a(2, 0) + a(1, 1), {X: ZERO, Y: a(0, 2), U: a(2, 2), V: a(0, 2)}),
+    # packed: the monomial content a[2,0] of the numerator is the whole denominator
+    "content cancelling the whole denominator": (
+        a(1, 0) * a(0, 1), {X: a(1, 1) / a(2, 0), Y: a(2, 0) * a(0, 2) + a(2, 0) * a(1, 1)}),
     "denominator held by another numerator": (
         (a(1, 0) * a(0, 1) + a(1, 0) ** 2) / a(0, 1),
         {X: a(1, 1) / a(2, 0), Y: a(2, 0) ** 2 + a(1, 1)}),
@@ -431,7 +444,16 @@ def test_map_jets_edge_cases_match_the_term_by_term_map(case, packed):
     e, images = MAP_EDGES[case]
     if packed:  # an image of two terms sends the map through the packed encoding
         e, images = e + a(2, 2), {**images, _jet(2, 2): a(1, 1) + a(0, 2)}
-    _assert_same_map(map_jets(e, images.__getitem__), e, images)
+    got = map_jets(e, images.__getitem__)
+    _assert_normal(got)
+    _assert_same_map(got, e, images)
+
+
+def test_map_jets_content_cancels_the_whole_denominator():
+    e, images = MAP_EDGES["content cancelling the whole denominator"]
+    got = map_jets(e, images.__getitem__)
+    assert got.den is ONE.den
+    assert got == a(1, 1) * a(0, 2) + a(1, 1) ** 2
 
 
 def _derive_chain(e: JetExpr, deriv) -> JetExpr:
