@@ -11,8 +11,9 @@ solves the framing system by the same row reduction (``solve_framing``).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import multiindex as mi
 from .grammar import InputError, parse_expr, print_expr
@@ -127,7 +128,7 @@ class ClassAnalysis(NamedTuple):
     flat_witness: tuple[MultiIndex, ...] | None  # s_i with s_i + e_i maximal
     framed: bool
     framing_set: tuple[MultiIndex, ...] | None
-    framing_assumptions: tuple[JetExpr, ...]
+    framing_assumptions: tuple[JetExpr, ...]  # the nonconstant pivots, through _dedupe
     phi_rows: dict[MultiIndex, tuple[JetExpr, ...]]  # phi(s) for each submaximal s
 
     @property
@@ -159,6 +160,37 @@ def phi(analysis: ClassAnalysis, v: MultiIndex) -> tuple[JetExpr, ...]:
     if row is None:
         raise ValueError(f"{tuple(v)} is not submaximal")
     return row
+
+
+def _strip_content(e: JetExpr) -> JetExpr:
+    """Divide out the rational content (nonvanishing of 2a is that of a)."""
+    coeffs = list(e.num.terms.values())
+    if not coeffs:
+        return e
+    num_gcd = 0
+    den_lcm = 1
+    for c in coeffs:
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    content = Fraction(num_gcd, den_lcm)
+    # sign convention: positive constant term if there is one, else a
+    # positive leading monomial (so 1 - 2ab stays put but -a becomes a)
+    anchor = () if () in e.num.terms else e.num.leading()[0]
+    if e.num.terms[anchor] < 0:
+        content = -content
+    return e / JetExpr.const(content)
+
+
+def _dedupe(exprs: Iterable[JetExpr]) -> tuple[JetExpr, ...]:
+    """The nonconstant expressions, their content stripped, each once."""
+    out: list[JetExpr] = []
+    for e in exprs:
+        if e.is_const():
+            continue
+        e = _strip_content(e)
+        if not any(e == o for o in out):
+            out.append(e)
+    return tuple(out)
 
 
 def _matching_witness(analysis_sub, maximal, n) -> tuple[MultiIndex, ...] | None:
@@ -222,8 +254,8 @@ def solve_framing(analysis: ClassAnalysis, rhs: list[JetExpr]) -> list[JetExpr]:
     framed class.
 
     The rows, extended by rhs, are reduced in the order ``analyze`` chose
-    them, so the pivots are those of ``analysis.framing_assumptions``; x is
-    read off by back substitution."""
+    them, so its nonconstant pivots, through ``_dedupe``, are
+    ``analysis.framing_assumptions``; x is read off by back substitution."""
     n = analysis.dimension
     reduced: list[tuple[int, list[JetExpr]]] = []
     for s, r in zip(analysis.framing_set, rhs):
@@ -279,7 +311,7 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
         spec, all_vectors, maximal, submaximal, interior,
         witness is not None, witness,
         framed, tuple(chosen) if framed else None,
-        tuple(assumptions) if framed else (), rows,
+        _dedupe(assumptions) if framed else (), rows,
     )
 
 

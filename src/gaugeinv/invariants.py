@@ -22,15 +22,13 @@ is also provided.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import jetalg
 from . import multiindex as mi
 from .classify import ClassAnalysis, ClassSpec, ClassSpecError, analyze, class_operator
-from .classify import phi, solve_framing
+from .classify import _dedupe, phi, solve_framing
 from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
@@ -179,40 +177,10 @@ class GradientSolution(NamedTuple):
     assumptions: tuple[JetExpr, ...]
 
 
-def _strip_content(e: JetExpr) -> JetExpr:
-    """Divide out the rational content (nonvanishing of 2a is that of a)."""
-    coeffs = list(e.num.terms.values())
-    if not coeffs:
-        return e
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    # sign convention: positive constant term if there is one, else a
-    # positive leading monomial (so 1 - 2ab stays put but -a becomes a)
-    anchor = () if () in e.num.terms else e.num.leading()[0]
-    if e.num.terms[anchor] < 0:
-        content = -content
-    return e / JetExpr.const(content)
-
-
-def _dedupe(exprs: Iterable[JetExpr]) -> tuple[JetExpr, ...]:
-    out: list[JetExpr] = []
-    for e in exprs:
-        if e.is_const():
-            continue
-        e = _strip_content(e)
-        if not any(e == o for o in out):
-            out.append(e)
-    return tuple(out)
-
-
 def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
     """Determine grad g in the framing coefficients a_s by
     ``classify.solve_framing``; the assumptions are the framing assumptions
-    of ``analyze`` with their content stripped.
+    of ``analyze``.
 
     Raises ClassSpecError when a class parameter is named like a parameter
     of the construction (c_i, p_u or q_w), as it would be that symbol."""
@@ -238,9 +206,7 @@ def solve_gradient(analysis: ClassAnalysis) -> GradientSolution:
         raise ClassSpecError(
             f"class parameter {', '.join(clash)} is also a parameter of the construction"
         )
-    return GradientSolution(
-        analysis, tuple(gradient), residual, _dedupe(analysis.framing_assumptions)
-    )
+    return GradientSolution(analysis, tuple(gradient), residual, analysis.framing_assumptions)
 
 
 def maximal_invariants(spec: ClassSpec) -> list[InvariantRecord]:
@@ -698,10 +664,9 @@ def _lift_hyperbolic(expr: JetExpr, m: int) -> JetExpr:
         a0 = JetExpr.symbol(coeff_symbol(alpha + (0,)), dim=dim)
         return a0 - p * a1 - a1.derive(dim, dim)
 
-    def value(var: JetVariable) -> JetExpr:
-        return lifted(var.base.vector).derive_multi(var.deriv + (0,))
-
-    return jetalg.map_jets(expr, value)
+    return jetalg.map_jets(expr, {
+        v: lifted(v.base.vector).derive_multi(v.deriv + (0,)) for v in expr.variables()
+    })
 
 
 def recursive_hyperbolic_bottom(n: int) -> InvariantRecord:

@@ -20,9 +20,9 @@ Only ``map_jets`` packs monomials into ints, in an encoding local to one call
 integers over one common denominator.  It cancels the monomial content in
 that encoding and decodes to ``Mono`` tuples already in normal form, so its
 result skips ``JetExpr.__init__``.  It packs in plain loops: under Python 3.11
-every comprehension is a function call.  Its term loop serves denominators of
-several terms, where the order of summation fixes the normal form, and
-all-one-term images, where packing costs more than it saves.
+every comprehension is a function call.  One rule picks its path: an image
+whose denominator has several terms, where the order of summation fixes the
+normal form, sends the map through a term loop; every other map is packed.
 
 Coefficients are exact rationals held as a plain ``int`` whenever they are
 integral and as a ``Fraction`` only otherwise; every operation hands back
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .multiindex import MultiIndex, add as mi_add, order as mi_order, unit
 
@@ -454,45 +454,43 @@ def substitute(e: JetExpr, bindings: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
     derivatives of the binding, so substitution commutes with derive on
     bound symbols.  Bound symbols on a right-hand side denote the original
     symbols, not their bindings: the map is applied once, never iterated.
+    e's variables are read once; e itself is returned when none is bound,
+    and otherwise each variable's image goes to ``map_jets``.
     """
-    if not bindings or e.base_symbols().isdisjoint(bindings):
+    variables = e.variables()
+    if not any(v.base in bindings for v in variables):
         return e
-
-    def value(v: JetVariable) -> JetExpr:
-        if v.base not in bindings:
-            return JetExpr(Poly.var(v))
-        return bindings[v.base].derive_multi(v.deriv)
-
-    return map_jets(e, value)
+    images = {}
+    for v in variables:
+        x = bindings.get(v.base)
+        images[v] = JetExpr(Poly.var(v)) if x is None else x.derive_multi(v.deriv)
+    return map_jets(e, images)
 
 
-def map_jets(e: JetExpr, value: Callable[[JetVariable], JetExpr]) -> JetExpr:
-    """The ring map sending each jet variable v of e to value(v), called once per v.
+def map_jets(e: JetExpr, images: Mapping[JetVariable, JetExpr]) -> JetExpr:
+    """The ring map sending each jet variable v of e to images[v]; ``images``
+    holds exactly the jet variables of e.
 
-    Numerator and denominator are mapped apart and divided, each on one of
-    two paths.  The term loop maps the terms c * prod v^k one at a time and
-    adds them in order.  It serves images with a denominator of several
-    terms, where the order of summation fixes the normal form, and images
-    that are all one term, where each term maps to one term over a monomial
-    denominator (whose normal form is the reduced fraction) and packing
-    costs more than it saves.  Otherwise every image denominator is 1 or a
-    monomial, and a polynomial is mapped in one pass over the monomial lcm M
-    of its term denominators, each term adding c * prod num(v)^k *
-    (M / prod den(v)^k) to one numerator over M.  That pass packs monomials
-    into ints, in an encoding local to this call (a bit field per variable of
-    the images, as wide as twice the largest sum k * (deg num(v) + deg den(v))
-    over the terms, so no field can carry), sums integer coefficients over
-    one common denominator and keeps the term order of the chain of
-    ``Poly.__mul__`` products.  The monomial content of numerator over M lies
-    in the fields of M alone: their minimum over M and the terms is
-    subtracted before decoding, so the quotient is built in normal form
-    without ``JetExpr.__init__``.  Decoding takes the highest field first,
-    found by ``int.bit_length``.  The pass runs in plain loops, with no
-    Python call per monomial, since in Python 3.11 each comprehension is one.
+    Numerator and denominator are mapped apart and divided, and one rule
+    picks the path.  When some image has a denominator of several terms,
+    where the order of summation fixes the normal form, the term loop maps
+    the terms c * prod v^k one at a time and adds them in order.  Every
+    other map, each image denominator 1 or a monomial, takes a polynomial in
+    one pass over the monomial lcm M of its term denominators, each term
+    adding c * prod num(v)^k * (M / prod den(v)^k) to one numerator over M.
+    That pass packs monomials into ints, in an encoding local to this call
+    (a bit field per variable of the images, as wide as twice the largest
+    sum k * (deg num(v) + deg den(v)) over the terms, so no field can
+    carry), sums integer coefficients over one common denominator and keeps
+    the term order of the chain of ``Poly.__mul__`` products.  The monomial
+    content of numerator over M lies in the fields of M alone: their minimum
+    over M and the terms is subtracted before decoding, so the quotient is
+    built in normal form without ``JetExpr.__init__``.  Decoding takes the
+    highest field first, found by ``int.bit_length``.  The pass runs in
+    plain loops, with no Python call per monomial, since in Python 3.11
+    each comprehension is one.
     """
-    images = {v: value(v) for v in e.variables()}
-    if (any(len(x.den.terms) > 1 for x in images.values())
-            or all(len(x.num.terms) < 2 for x in images.values())):
+    if any(len(x.den.terms) > 1 for x in images.values()):
         def apply(p: Poly) -> JetExpr:
             total = None
             for mono, c in p.terms.items():

@@ -5,11 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gaugeinv import multiindex as mi
-from gaugeinv.classify import ClassAnalysis, ClassSpec, analyze
+from gaugeinv.classify import ClassAnalysis, ClassSpec, _dedupe, analyze
 from gaugeinv.grammar import parse_expr
 from gaugeinv.invariants import (
     InvariantRecord,
-    _dedupe,
     compatibility_invariants,
     hyperbolic_templates_3d,
     solve_gradient,

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = {
     "construct": (1, 18, "b6a85d90d5647b72b9ca47ebbde77669ec91a28c011e7e900e9ffcdda9290de6"),
     "verify": (0, 40, "a024c77e1abfca4d4c2915a23c38fc59ae90c875aad1b9d18047644c278fe029"),
-    "cli_sweep": (0, 76, "3bdde659cc0312e1099721851e8e45bb6800daba8e039efe01edb4bbdc981f3a"),
+    "cli_sweep": (0, 76, "e4c79f691933da7c4c8fa685dfe89c0eeabaddece40e854fd130fcdba3b63c26"),
 }
 
 

@@ -319,6 +319,25 @@ def test_verify_bad_expression_exits_1(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("verify", "a[1,0]^p", "exponent must be an integer literal"),
+    ("verify", "a[1,0;[0,1]", "expected ']', got ';['"),
+    ("templates", "p +", "unexpected end of expression"),
+])
+def test_parse_errors_exit_1(tmp_path, capsys, command, text, message):
+    # "templates" parses text as a shift of a template file on the d_xy class
+    if command == "verify":
+        argv = ["verify", write_spec(tmp_path, fx.spec_xxy()), "--expr", text]
+    else:
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(_closed(first={"powers": [[1, 0]], "shift": text})))
+        argv = ["invariants", write_spec(tmp_path, fx.spec_xy()), "--templates", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("expr", ["1/0", "a[1,0]/(a[0,1]-a[0,1])", "0^-1"])
 def test_verify_division_by_zero_exits_1(tmp_path, capsys, expr):
     path = write_spec(tmp_path, fx.spec_xxy())
@@ -400,6 +419,14 @@ def _with_factor(factor):
     return {"stages": [{"templates": [{"factors": [factor]}], "targets": [[0, 0]]}]}
 
 
+def _closed(prefactor="1", first=None, second=None):
+    """STAGE_XY with the closure check on, a prefactor and the two factors replaced."""
+    first = first or {"powers": [[1, 0]], "shift": "p"}
+    second = second or {"powers": [[0, 1]], "shift": "q"}
+    return {"check_closure": True, "stages": [
+        {**STAGE_XY, "templates": [{"prefactor": prefactor, "factors": [first, second]}]}]}
+
+
 # case -> (command, file content, extra arguments, a piece of the message);
 # "templates" runs invariants on the d_xy class with the content as its
 # template file.  Each is an input error that a typed library error reports.
@@ -457,6 +484,17 @@ BAD_INPUTS = {
         {**STAGE_XY, "templates": [{"factors": [{"powers": [[1, 0]], "shift": "2*p"},
                                                 {"powers": [[0, 1]], "shift": "q"}]}]}]}, [],
         "must appear with unit coefficient"),
+    "closure_gauge_prefactor": ("templates", _closed(prefactor="g"), [],
+                                "prefactor contains the gauge symbol"),
+    "closure_prefactor_not_invariant": ("templates", _closed(prefactor="a[0,0]"), [],
+                                        "is not gauge invariant"),
+    "closure_solver_parameter_prefactor": ("templates", _closed(prefactor="s"), [],
+                                           "prefactor contains a solver parameter"),
+    "closure_second_order_factor": ("templates", _closed(first={"powers": [[2, 0]], "shift": "p"}),
+                                    [], "requires first-order factors"),
+    "closure_two_parameters_in_shift": ("templates",
+                                        _closed(first={"powers": [[1, 0]], "shift": "p + r"}),
+                                        [], "one solver parameter per factor"),
 }
 
 

@@ -80,10 +80,10 @@ def test_solve_gradient_five_order_3d():
 
 def test_solve_gradient_assumes_the_pivot_analyze_divides_by():
     # On {p d_xy, d_xx} analyze reduces phi(0,1) = (p, 0), then
-    # phi(1,0) = (2, p) to (0, p): both pivots are p, and the solve divides
-    # by the same ones (not by 2 and then -p^2/2).
+    # phi(1,0) = (2, p) to (0, p): both pivots are p, recorded once, and the
+    # solve divides by the same ones (not by 2 and then -p^2/2).
     an = analyze(ClassSpec(2, (((1, 1), par("p")), ((2, 0), ONE))))
-    assert [print_expr(a) for a in an.framing_assumptions] == ["p", "p"]
+    assert [print_expr(a) for a in an.framing_assumptions] == ["p"]
     assert [print_expr(a) for a in solve_gradient(an).assumptions] == ["p"]
 
 
@@ -618,9 +618,9 @@ def test_complete_set_binds_only_the_framing_coefficients_a_b_w_reaches(monkeypa
     calls = []
     map_jets = jetalg.map_jets
 
-    def counted(e, value):
+    def counted(e, images):
         calls.append(e)
-        return map_jets(e, value)
+        return map_jets(e, images)
 
     monkeypatch.setattr(jetalg, "map_jets", counted)
     records, audit = complete_set(ClassSpec(4, (((1, 1, 1, 1), ONE),)))
@@ -671,4 +671,31 @@ def test_lift_hyperbolic_matches_a_lift_without_memos():
         a0 = JetExpr.symbol(coeff_symbol(var.base.vector + (0,)), dim=dim)
         return _derive_chain(a0 - p * a1 - a1.derive(dim, dim), var.deriv + (0,))
 
-    assert _terms(_lift_hyperbolic(expr, m)) == _terms(map_jets(expr, value))
+    images = {v: value(v) for v in expr.variables()}
+    assert _terms(_lift_hyperbolic(expr, m)) == _terms(map_jets(expr, images))
+
+
+def _unequal_stages():
+    stages, targets = hyperbolic_templates_3d()
+    return upward_invariants_from_template(analyze(fx.spec_xyz()), stages, targets[:-1])
+
+
+# Refusals of arguments that only a caller of the library can pass: the
+# command line never builds them.
+@pytest.mark.parametrize("call, message", [
+    (lambda: recursive_hyperbolic_bottom(1), "dimension must be at least 2"),
+    (_unequal_stages, "must have equal length"),
+    (lambda: param_symbol("g"), "invalid parameter name 'g'"),
+    (lambda: JetExpr.symbol(coeff_symbol((1, 0))), "need deriv or dim"),
+    (lambda: mi.add((1, 0), (1, 0, 0)), r"\(1, 0\) vs \(1, 0, 0\)"),
+    (lambda: mi.leq((1, 0), (1, 0, 0)), r"\(1, 0\) vs \(1, 0, 0\)"),
+    (lambda: mi.covers((1, 0), (1, 0, 0)), r"\(1, 0, 0\) vs \(1, 0\)"),
+    (lambda: mi.common_dim([]), "empty set of multi-indices"),
+    (lambda: DiffOperator.identity(2) + DiffOperator.identity(3), "2 vs 3"),
+    (lambda: P("a[1,0] + 1").num.const_value(), "not a constant polynomial"),
+], ids=["recursion below dimension 2", "stages and targets", "parameter named g",
+        "symbol without deriv or dim", "mi.add", "mi.leq", "mi.covers", "mi.common_dim",
+        "operator sum", "Poly.const_value"])
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

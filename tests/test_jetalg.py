@@ -223,7 +223,7 @@ def test_map_jets_is_a_ring_map():
     x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
     e = (a(1, 0) * a(1, 0) + a(0, 1).derive(1, 2)) / (a(0, 1) + ONE)
     images = {x: a(0, 0) + ONE, y: a(0, 0) * a(1, 1)}
-    got = map_jets(e, lambda v: images[v.base].derive_multi(v.deriv))
+    got = map_jets(e, {v: images[v.base].derive_multi(v.deriv) for v in e.variables()})
     assert got == substitute(e, images)
 
 
@@ -383,14 +383,15 @@ def _fractions(draw, kinds=("one", "monomial", "two terms")):
        st.data())
 def test_map_jets_matches_the_term_by_term_map(e, extra, kinds, data):
     e = e + extra  # e mentions at least one jet
-    images = {v: data.draw(_fractions(kinds)) for v in JETS}
+    images = {v: data.draw(_fractions(kinds)) for v in JETS}  # one draw per jet of JETS
+    images = {v: images[v] for v in e.variables()}
     try:
         want = _map_jets_by_terms(e, images.__getitem__)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            map_jets(e, images.__getitem__)
+            map_jets(e, images)
         return
-    got = map_jets(e, images.__getitem__)
+    got = map_jets(e, images)
     _assert_normal(got)
     assert equal(got, want)
     if all(len(images[v].den.terms) == 1 for v in e.variables()):
@@ -431,27 +432,45 @@ MAP_EDGES = {
     "denominator held by another numerator": (
         (a(1, 0) * a(0, 1) + a(1, 0) ** 2) / a(0, 1),
         {X: a(1, 1) / a(2, 0), Y: a(2, 0) ** 2 + a(1, 1)}),
-    # every image one term: the term loop, whose constant term is a constant
+    # every image one term: packed like any other map with monomial denominators
     "one-term images and a constant term": (
         (a(1, 0) ** 2 * a(0, 1) + JetExpr.const(Fraction(1, 2))) / a(2, 0),
         {X: a(1, 1).scale(Fraction(2, 3)), Y: a(0, 2) / a(1, 1), U: a(0, 2)}),
+    # a[1,1] comes +1, -1 and +2: the chain keeps it in its first place,
+    # ahead of a[3,0], where a sum that drops a cancelled term puts it last
+    "one-term images, a sum cancelled and met again": (
+        a(1, 0) + a(2, 0) - a(0, 1) + a(0, 2).scale(2),
+        {X: a(1, 1), U: a(3, 0), Y: a(1, 1), _jet(0, 2): a(1, 1)}),
 }
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["as given", "with a two-term image"])
+EXTRA_IMAGES = {
+    "as given": None,
+    "with a two-term image": a(1, 1) + a(0, 2),  # whose powers are products of several terms
+    "with a two-term denominator": a(1, 1) / (a(0, 2) + ONE),  # the term loop
+}
+
+
+@pytest.mark.parametrize("extra", list(EXTRA_IMAGES))
 @pytest.mark.parametrize("case", sorted(MAP_EDGES))
-def test_map_jets_edge_cases_match_the_term_by_term_map(case, packed):
+def test_map_jets_edge_cases_match_the_term_by_term_map(case, extra):
     e, images = MAP_EDGES[case]
-    if packed:  # an image of two terms sends the map through the packed encoding
-        e, images = e + a(2, 2), {**images, _jet(2, 2): a(1, 1) + a(0, 2)}
-    got = map_jets(e, images.__getitem__)
+    assert set(images) == e.variables()
+    if EXTRA_IMAGES[extra] is not None:
+        e, images = e + a(2, 2), {**images, _jet(2, 2): EXTRA_IMAGES[extra]}
+    got = map_jets(e, images)
     _assert_normal(got)
-    _assert_same_map(got, e, images)
+    if extra == "with a two-term denominator":  # the terms in the order they are summed
+        want = _map_jets_by_terms(e, images.__getitem__)
+        assert list(got.num.terms.items()) == list(want.num.terms.items())
+        assert list(got.den.terms.items()) == list(want.den.terms.items())
+    else:
+        _assert_same_map(got, e, images)
 
 
 def test_map_jets_content_cancels_the_whole_denominator():
     e, images = MAP_EDGES["content cancelling the whole denominator"]
-    got = map_jets(e, images.__getitem__)
+    got = map_jets(e, images)
     assert got.den is ONE.den
     assert got == a(1, 1) * a(0, 2) + a(1, 1) ** 2
 

@@ -6,10 +6,12 @@ Run from the repository root of any checkout: gaugeinv is imported from
 ./src and the class generators from ./tests, so the same script can be run
 on two trees and the outputs compared line by line (``diff``).  Each line
 is ``<sha256>  <case>``; the last is ``<sha256>  aggregate``, the sha256 of
-all the lines before it.  A case's sha256 covers the canonical JSON of
-``complete_set`` (records and audit) and of ``build_Cm`` (templates,
+all the lines before it.  A class case's sha256 covers the canonical JSON
+of ``complete_set`` (records and audit) and of ``build_Cm`` (templates,
 bindings, assumptions), each replaced by the error's type and message when
-it raises; the staged and recursive cases cover their records.
+it raises, and a second line ``<sha256>  <case> analyze`` covers
+``analyze(spec).to_json()`` the same way; the staged and recursive cases
+cover their records.
 
 The cases:
   * the corpus of tests/test_corpus.py (every antichain in dimension 1 and 2
@@ -95,10 +97,15 @@ def cases():
 def main() -> int:
     lines = []
     for name, case in cases():
-        data = class_json(case) if isinstance(case, ClassSpec) else case()
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-        lines.append(f"{hashlib.sha256(blob).hexdigest()}  {name}")
-        print(lines[-1], flush=True)
+        if isinstance(case, ClassSpec):
+            outputs = [(name, class_json(case)),
+                       (f"{name} analyze", outcome(lambda: analyze(case).to_json()))]
+        else:
+            outputs = [(name, case())]
+        for label, data in outputs:
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+            lines.append(f"{hashlib.sha256(blob).hexdigest()}  {label}")
+            print(lines[-1], flush=True)
     print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  aggregate")
     return 0
 
