@@ -31,7 +31,8 @@ Template files are JSON of the form::
 
 Stages are cumulative: each stage adds its templates and targets to the
 preceding ones and the whole parameter set is re-solved.  ``prefactor``
-defaults to "1"; shifts and prefactors use the expression grammar.
+defaults to "1"; shifts and prefactors use the expression grammar.  With
+``check_closure`` true, a record whose Delta does not vanish exits 2.
 """
 from __future__ import annotations
 

@@ -33,16 +33,11 @@ from .grammar import InputError, print_expr
 from .jetalg import (
     BaseSymbol,
     JetExpr,
-    JetVariable,
-    KIND_COEFF,
     KIND_GAUGE,
     KIND_PARAM,
     ONE,
-    Poly,
-    ZERO,
     _Frozen,
     coeff_symbol,
-    gauge_symbol,
     param_symbol,
     substitute,
 )
@@ -55,6 +50,7 @@ from .opalg import (
     expand_sum,
     expand_template,
 )
+from .verify import DeltaContext, is_invariant
 
 
 class HypothesisError(InputError):
@@ -74,7 +70,8 @@ class SolveError(InputError):
 
 
 class TemplateNotClosedError(InputError):
-    """The template family is not closed under gauge transformations."""
+    """A staged record proved with check_closure has a nonzero Delta: the
+    template family is not closed under gauge transformations for it."""
 
 
 def _vec_tag(v: MultiIndex) -> str:
@@ -527,70 +524,6 @@ def upward_invariant_generic(
 # ---------------------------------------------------------------------------
 
 
-def check_gauge_closure(
-    templates: Sequence[FactorTemplate],
-    maximal: frozenset[MultiIndex] | set[MultiIndex] | None = None,
-    class_params: frozenset[BaseSymbol] = frozenset(),
-) -> None:
-    """Verify the template family is closed under gauge transformations.
-
-    Conjugation sends each first-order factor (d_w + shift) to
-    (d_w + shift + sum of g_{x_i} over the powers); the family is closed
-    iff this can be realized by reparametrizing the solver parameters,
-    i.e. every parameter receives the same gauge increment in all of its
-    occurrences.  Sharing a parameter between factors with different
-    derivative directions breaks this and raises TemplateNotClosedError.
-    """
-    if not templates:
-        return
-    n = templates[0].dim
-    g = gauge_symbol()
-    increments: dict[BaseSymbol, JetExpr] = {}
-    for t in templates:
-        for s in t.prefactor.base_symbols():
-            if s.kind == KIND_GAUGE:
-                raise TemplateNotClosedError("prefactor contains the gauge symbol")
-            if s.kind == KIND_COEFF and (maximal is None or s.vector not in maximal):
-                raise TemplateNotClosedError(
-                    f"prefactor coefficient {s.text()} is not gauge invariant"
-                )
-        if _solver_params(t.prefactor, class_params):
-            raise TemplateNotClosedError("prefactor contains a solver parameter")
-        for f in t.factors:
-            if any(mi.order(w) != 1 for w in f.powers):
-                raise TemplateNotClosedError(
-                    "closure check requires first-order factors"
-                )
-            increment = ZERO
-            for w in f.powers:
-                increment = increment + JetExpr(Poly.var(JetVariable(g, w)))
-            params = _solver_params(f.shift, class_params)
-            if not params:
-                raise TemplateNotClosedError(
-                    f"factor shift {print_expr(f.shift)} has no solver "
-                    "parameter to absorb the gauge increment"
-                )
-            if len(params) > 1:
-                raise TemplateNotClosedError(
-                    "closure check requires one solver parameter per factor"
-                )
-            (param,) = params
-            coeff = f.shift - substitute(f.shift, {param: ZERO})
-            if coeff != JetExpr.symbol(param, dim=n):
-                raise TemplateNotClosedError(
-                    f"parameter {param.text()} must appear with unit "
-                    "coefficient in its factor shift"
-                )
-            if param in increments:
-                if increments[param] != increment:
-                    raise TemplateNotClosedError(
-                        f"parameter {param.text()} is shared between factors "
-                        "with different derivative directions"
-                    )
-            else:
-                increments[param] = increment
-
-
 def upward_invariants_from_template(
     analysis: ClassAnalysis,
     stages: Sequence[Sequence[FactorTemplate]],
@@ -605,6 +538,10 @@ def upward_invariants_from_template(
     equation that is linear in exactly one undetermined parameter.  The
     coefficients at maximal vectors of the remaining support then become
     upward invariants.
+
+    With check_closure, every record is proved by Delta after the last
+    stage (``verify.is_invariant``); the first whose Delta does not vanish
+    raises TemplateNotClosedError with its residual.  Without it, nothing is.
     """
     if len(stages) != len(stage_targets):
         raise ValueError("stages and stage_targets must have equal length")
@@ -618,8 +555,6 @@ def upward_invariants_from_template(
     for stage_templates, new_targets in zip(stages, stage_targets):
         cumulative.extend(stage_templates)
         targets.extend(tuple(t) for t in new_targets)
-        if check_closure:
-            check_gauge_closure(cumulative, analysis.maximal_set, class_params)
         # expand_sum(cumulative) as the same left fold, each template expanded once
         C = expand_sum(cumulative) if C is None else sum(map(expand_template, stage_templates), C)
         D = L - C
@@ -640,6 +575,13 @@ def upward_invariants_from_template(
                 records.append(
                     _upward_record(u, N_terms[u], assumptions, rep, class_params)
                 )
+    if check_closure:
+        ctx = DeltaContext.for_class(analysis.spec)
+        for r in records:
+            ok, residual = is_invariant(r.expression, ctx)
+            if not ok:
+                raise TemplateNotClosedError(f"record {r.label} is not gauge invariant: "
+                                             f"Delta = {print_expr(residual)}")
     return records
 
 

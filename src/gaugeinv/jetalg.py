@@ -387,8 +387,6 @@ class JetExpr:
             return NotImplemented
         return equal(self, other)
 
-    __hash__ = None
-
     # -- calculus -----------------------------------------------------
     def derive(self, i: int, dim: int) -> "JetExpr":
         if self.den is _ONE_POLY:

@@ -90,15 +90,6 @@ class DiffOperator(_Frozen):
     def __mul__(self, other: "DiffOperator") -> "DiffOperator":
         return op_mul(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        if self.dim != other.dim or set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[v] == other.terms[v] for v in self.terms)
-
-    __hash__ = None
-
     def base_symbols(self) -> set[BaseSymbol]:
         out: set[BaseSymbol] = set()
         for c in self.terms.values():

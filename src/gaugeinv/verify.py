@@ -111,16 +111,20 @@ def is_invariant(E: JetExpr, ctx: DeltaContext) -> tuple[bool, JetExpr]:
 _P = 2**61 - 1  # a Mersenne prime; the oracle computes modulo _P
 
 
-def _ratio(num: int, den: int) -> int:
-    """num/den modulo _P; ZeroDivisionError when _P divides den."""
-    if not den % _P:
-        raise ZeroDivisionError("denominator divisible by the oracle's prime")
-    return num * pow(den, -1, _P) % _P
-
-
 def _residue(c) -> int:
-    """An int or Fraction coefficient modulo _P."""
-    return c % _P if type(c) is int else _ratio(c.numerator, c.denominator)
+    """An int or Fraction coefficient, its denominator prime to _P, modulo _P."""
+    return c % _P if type(c) is int else c.numerator * pow(c.denominator, -1, _P) % _P
+
+
+def _residues(p) -> list[tuple[int, tuple]]:
+    """p's terms as (residue, monomial), p scaled by the power of _P (almost
+    always 1) that leaves _P in no coefficient denominator; a constant factor
+    of E's numerator or denominator keeps num(E') den(E) = num(E) den(E')."""
+    scale = 1
+    for c in p.terms.values():
+        while not c.denominator % (scale * _P):
+            scale *= _P
+    return [(_residue(c * scale if scale > 1 else c), m) for m, c in p.terms.items()]
 
 
 _INVERSE = (0,) + tuple(pow(j, -1, _P) for j in range(1, 8))  # 1/j modulo _P
@@ -241,6 +245,10 @@ class OracleDraws:
         self.ctx = ctx
         self.seed = seed
         L = ctx.operator
+        for v, c in L.terms.items():
+            if c.is_const() and not c.const_value().denominator % _P:
+                raise InputError(f"the coefficient {print_expr(c)} of d^{v} has the "
+                                 "oracle's prime 2^61 - 1 in its denominator")
         # The coefficient c_v of each d^v: a residue when constant, else the
         # jet variable of its single symbol.
         coeff = {v: _residue(c.const_value()) if c.is_const() else next(iter(c.variables()))
@@ -282,7 +290,10 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
 
     All arithmetic is on residues modulo the prime P = 2^61 - 1; every
     rational (instance coefficient, point coordinate, coefficient of E) is
-    reduced as numerator * denominator^-1.  Cleared of denominators,
+    reduced as numerator * denominator^-1, after E's numerator and
+    denominator are each scaled by the power of P that keeps P out of
+    their coefficient denominators (``_residues``); a class constant with
+    P in its denominator is an InputError.  Cleared of denominators,
     E' - E is a polynomial N in the instance coefficients and the point
     coordinates, and the check is the identity test of N over the field of
     P elements.  By the Schwartz-Zippel lemma a nonzero N of total degree
@@ -309,8 +320,7 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
     # The symbols of L, L' and E; g occurs in L' when any coefficient is gauged.
     symbols = ctx.operator.base_symbols() | E.base_symbols() | ({g} if leibniz else set())
     instance, derived, rng, points = draws.instance(tuple(sorted(symbols, key=symbol_key)))
-    num = [(_residue(c), m) for m, c in E.num.terms.items()]
-    den = [(_residue(c), m) for m, c in E.den.terms.items()]
+    num, den = _residues(E.num), _residues(E.den)
     # Each jet variable is derived once per instance and evaluated once per
     # point: at, after_at and b_memo are the memos of the current point.
 

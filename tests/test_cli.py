@@ -480,21 +480,22 @@ BAD_INPUTS = {
     "solver_parameter_in_prefactor": ("templates", {"stages": [
         {**STAGE_XY, "templates": [{**STAGE_XY["templates"][0], "prefactor": "s"}]}]}, [],
         "contains unresolved parameters: s"),
-    "shift_not_unit_in_parameter": ("templates", {"check_closure": True, "stages": [
-        {**STAGE_XY, "templates": [{"factors": [{"powers": [[1, 0]], "shift": "2*p"},
-                                                {"powers": [[0, 1]], "shift": "q"}]}]}]}, [],
-        "must appear with unit coefficient"),
     "closure_gauge_prefactor": ("templates", _closed(prefactor="g"), [],
-                                "prefactor contains the gauge symbol"),
+                                "invariant I_{11} contains the gauge symbol"),
     "closure_prefactor_not_invariant": ("templates", _closed(prefactor="a[0,0]"), [],
-                                        "is not gauge invariant"),
+                                        "record I_{11} is not gauge invariant: Delta = "),
     "closure_solver_parameter_prefactor": ("templates", _closed(prefactor="s"), [],
-                                           "prefactor contains a solver parameter"),
+                                           "invariant I_{11} contains unresolved parameters: s"),
     "closure_second_order_factor": ("templates", _closed(first={"powers": [[2, 0]], "shift": "p"}),
-                                    [], "requires first-order factors"),
+                                    [], "parameter q does not occur in its equation"),
     "closure_two_parameters_in_shift": ("templates",
                                         _closed(first={"powers": [[1, 0]], "shift": "p + r"}),
-                                        [], "one solver parameter per factor"),
+                                        [], "stage not uniquely solvable"),
+    "closure_refutes_a_record": ("templates", {"check_closure": True, "stages": [
+        {"templates": [*STAGE_XY["templates"],
+                       {"factors": [{"powers": [[1, 0]], "shift": "a[0,1] + p"}]}],
+         "targets": STAGE_XY["targets"]}]}, [],
+        "record I_{00} is not gauge invariant: Delta = -g;[1,0]"),
 }
 
 
@@ -513,6 +514,16 @@ def test_input_errors_exit_2(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_closure_check_accepts_a_scaled_parameter(tmp_path, capsys):
+    # (d_x + 2*p)(d_y + q) gives the Laplace invariant; Delta proves it.
+    spec = write_spec(tmp_path, fx.spec_xy())
+    tfile = write_templates(tmp_path, _closed(first={"powers": [[1, 0]], "shift": "2*p"}))
+    code, out, err = run(capsys, ["invariants", spec, "--templates", tfile, "--verify"])
+    assert (code, err) == (EXIT_OK, "")
+    (record,) = json.loads(out)["invariants"]
+    assert record["expression"] == "-a[0,1]*a[1,0] + a[0,0] - a[1,0];[1,0]"
 
 
 # A path that cannot be read as a file is a fault in the input, like a
@@ -557,6 +568,39 @@ def test_exhausted_oracle_retries_exit_4(tmp_path, capsys):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("internal error: ZeroDivisionError: ") and err.count("\n") == 1
+
+
+ORACLE_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize("expr, expected", [
+    (f"a[1,0]/{ORACLE_PRIME}", EXIT_VERIFY),
+    (f"a[1,0]/(2*{ORACLE_PRIME})", EXIT_VERIFY),
+    (f"(2*a[2,0];[1,0] - a[1,1];[0,1])/{ORACLE_PRIME}", EXIT_OK),
+    pytest.param(f"(2*a[2,0];[1,0] - a[1,1];[0,1])/{ORACLE_PRIME}^2 + a[2,0]", EXIT_VERIFY,
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "open fault: scaled by the prime squared, a[2,0] is 0 modulo the "
+                     "prime, so the oracle checks only the invariant part and passes"))),
+])
+def test_oracle_prime_in_a_denominator_of_the_expression(tmp_path, capsys, expr, expected):
+    # The numeric verdict agrees with Delta's; the oracle does not fail.
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["verify", path, "--expr", expr])
+    assert (code, err) == (expected, "")
+    report = json.loads(out)
+    assert report["numeric_check"] is report["invariant"] is (expected == EXIT_OK)
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--verify"], ["verify", "--expr", "a[1,0]"]],
+                         ids=["invariants", "verify"])
+def test_oracle_prime_in_a_class_constant_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dimension": 2, "maximal_terms": [
+        {"vector": [2, 1], "coefficient": f"1/{ORACLE_PRIME}"}]}))
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert err == (f"error: the coefficient 1/{ORACLE_PRIME} of d^(2, 1) has the "
+                   "oracle's prime 2^61 - 1 in its denominator\n")
 
 
 def test_gauge_classical(tmp_path, capsys):

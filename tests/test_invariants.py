@@ -2,6 +2,7 @@
 compatibility, generic upward, staged templates, and the recursion."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from gaugeinv.invariants import (
     SolveError,
     TemplateNotClosedError,
     build_Cm,
-    check_gauge_closure,
     compatibility_invariants,
     complete_set,
     extra_invariants,
@@ -414,20 +414,46 @@ def test_template_engine_rejects_derivative_of_parameter():
         upward_invariants_from_template(an, [templates], [[(0,)]])
 
 
-def test_closure_check_flags_shared_cross_direction_parameter():
-    q, r, h = par("q"), par("r"), par("h")
-    good = FactorTemplate(2, (Factor.single((1, 0), q),) * 3 + (Factor.single((0, 1), r),) * 2)
-    bad = FactorTemplate(2, (Factor.single((1, 0), h), Factor.single((0, 1), q), Factor.single((0, 1), q)))
-    ok = FactorTemplate(2, (Factor.single((1, 0), h), Factor.single((0, 1), r), Factor.single((0, 1), r)))
-    check_gauge_closure([good, ok])
-    with pytest.raises(TemplateNotClosedError):
-        check_gauge_closure([good, bad])
+def _xy_family(*extra):
+    """(d_x + p)(d_y + q) on the class d_xy, then the first-order factors in extra."""
+    first = FactorTemplate(2, (Factor.single((1, 0), par("p")), Factor.single((0, 1), par("q"))))
+    return [first, *(FactorTemplate(2, (f,)) for f in extra)]
 
 
-def test_closure_check_requires_parametrized_shifts():
-    t = FactorTemplate(2, (Factor.single((1, 0), P("a[2,0]")),))
-    with pytest.raises(TemplateNotClosedError):
-        check_gauge_closure([t])
+# family -> (templates, targets, the record Delta refutes, its expression):
+# check_gauge_closure let both through, and each emits a non-invariant record.
+NOT_CLOSED = {
+    "coefficient_in_shift": (_xy_family(Factor.single((1, 0), P("a[0,1]") + par("p"))),
+                             [(1, 0), (0, 1)], "I_{00}",
+                             "-a[0,1]*a[1,0] + a[0,0] - a[0,1] - a[1,0];[1,0]"),
+    "target_below_a_non_target": (_xy_family(Factor.single((1, 0), par("p"))),
+                                  [(1, 0), (0, 0)], "I_{01}",
+                                  "(a[0,1]*a[1,0] - a[0,0] + a[1,0];[1,0])/(a[1,0])"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NOT_CLOSED))
+def test_closure_check_refuses_a_record_delta_refutes(family):
+    templates, targets, label, text = NOT_CLOSED[family]
+    an = analyze(fx.spec_xy())
+    message = re.escape(f"record {label} is not gauge invariant: Delta = ")
+    with pytest.raises(TemplateNotClosedError, match=message):
+        upward_invariants_from_template(an, [templates], [targets], check_closure=True)
+    # Unchecked, the engine emits the record as before, and Delta refutes it.
+    records = by_label(upward_invariants_from_template(an, [templates], [targets]))
+    assert print_expr(records[label].expression) == text
+    assert not is_invariant(records[label].expression, DeltaContext.for_class(an.spec))[0]
+
+
+@pytest.mark.parametrize("shift", ["2*p", "a[0,1]"])
+def test_closure_check_accepts_a_family_whose_record_is_invariant(shift):
+    # check_gauge_closure refused both: a parameter without unit coefficient,
+    # and a shift without a solver parameter.  Each gives the Laplace invariant.
+    t = FactorTemplate(2, (Factor.single((1, 0), P(shift)), Factor.single((0, 1), par("q"))))
+    (record,) = upward_invariants_from_template(
+        analyze(fx.spec_xy()), [[t]], [[(1, 0), (0, 1)]], check_closure=True
+    )
+    assert print_expr(record.expression) == "-a[0,1]*a[1,0] + a[0,0] - a[1,0];[1,0]"
 
 
 # ---------------------------------------------------------------------------

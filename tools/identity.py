@@ -22,7 +22,9 @@ The cases:
   * the fixture classes of tests/_fixtures.py;
   * every 25th class of the dimension-3, order-3 sweep, coefficient 1;
   * recursive_hyperbolic_bottom(n) for n = 2..5;
-  * the staged template engine on d_xyz with hyperbolic_templates_3d().
+  * the staged template engine on d_xyz with hyperbolic_templates_3d(),
+    and with check_closure on, on it and on d_xxy with the README's
+    template file.
 
 Not part of the test suite; it takes about 15 s on a 2-core host.
 """
@@ -44,6 +46,7 @@ from gaugeinv.invariants import (  # noqa: E402
     upward_invariants_from_template,
 )
 from gaugeinv.jetalg import ONE, JetExpr, param_symbol  # noqa: E402
+from gaugeinv.opalg import Factor, FactorTemplate  # noqa: E402
 from test_corpus import PARTS, antichains  # noqa: E402
 
 
@@ -69,6 +72,20 @@ def class_json(spec: ClassSpec) -> dict:
     return {"class": spec.to_json(), "complete_set": outcome(records), "build_Cm": outcome(cm)}
 
 
+def staged(spec: ClassSpec, stages, targets, check_closure: bool = False) -> list:
+    return outcome(lambda: [r.to_json() for r in upward_invariants_from_template(
+        analyze(spec), stages, targets, check_closure)])
+
+
+def xxy_stages():
+    """The README's template file: (d_x + q)^2 (d_y + r), then (d_x + s)(d_y + t)."""
+    x, y = (1, 0), (0, 1)
+    f = lambda w, name: Factor.single(w, JetExpr.symbol(param_symbol(name), dim=2))
+    return ([[FactorTemplate(2, (f(x, "q"), f(x, "q"), f(y, "r")))],
+             [FactorTemplate(2, (f(x, "s"), f(y, "t")))]],
+            [[(2, 0), (1, 1)], [(1, 0), (0, 1)]])
+
+
 def cases():
     """(name, a ClassSpec or a function giving the case's JSON), in a fixed order."""
     for n, k in PARTS:
@@ -89,9 +106,10 @@ def cases():
     for n in range(2, 6):
         yield f"recursive_hyperbolic_bottom({n})", lambda n=n: outcome(
             lambda: recursive_hyperbolic_bottom(n).to_json())
-    yield "staged d_xyz", lambda: outcome(lambda: [
-        r.to_json() for r in
-        upward_invariants_from_template(analyze(fx.spec_xyz()), *hyperbolic_templates_3d())])
+    yield "staged d_xyz", lambda: staged(fx.spec_xyz(), *hyperbolic_templates_3d())
+    yield "staged d_xxy check_closure", lambda: staged(fx.spec_xxy(), *xxy_stages(), True)
+    yield "staged d_xyz check_closure", lambda: staged(
+        fx.spec_xyz(), *hyperbolic_templates_3d(), True)
 
 
 def main() -> int:
