@@ -124,7 +124,10 @@ def _residues(p) -> list[tuple[int, tuple]]:
     for c in p.terms.values():
         while not c.denominator % (scale * _P):
             scale *= _P
-    return [(_residue(c * scale if scale > 1 else c), m) for m, c in p.terms.items()]
+    residues = [(_residue(c * scale if scale > 1 else c), m) for m, c in p.terms.items()]
+    if scale > 1 and not all(r for r, _ in residues):  # such a term would go unchecked
+        raise InputError("E's coefficient denominators hold the oracle's prime 2^61 - 1 unevenly")
+    return residues
 
 
 _INVERSE = (0,) + tuple(pow(j, -1, _P) for j in range(1, 8))  # 1/j modulo _P
@@ -290,20 +293,19 @@ def numeric_spot_check(E: JetExpr, ctx: DeltaContext, seed: int = DEFAULT_SEED,
 
     All arithmetic is on residues modulo the prime P = 2^61 - 1; every
     rational (instance coefficient, point coordinate, coefficient of E) is
-    reduced as numerator * denominator^-1, after E's numerator and
-    denominator are each scaled by the power of P that keeps P out of
-    their coefficient denominators (``_residues``); a class constant with
-    P in its denominator is an InputError.  Cleared of denominators,
-    E' - E is a polynomial N in the instance coefficients and the point
-    coordinates, and the check is the identity test of N over the field of
-    P elements.  By the Schwartz-Zippel lemma a nonzero N of total degree
-    d vanishes at a point drawn uniformly from a sample set S with
-    probability at most d/|S|, over Q and modulo P alike; the reduction
-    changes a verdict of exact arithmetic at the same draws only when P
-    divides the numerator of a nonzero exact value.  A point at which a
-    denominator of E, before or after gauging, vanishes modulo P is
-    resampled, at most _RETRIES (8) times per point; after that the
-    ZeroDivisionError propagates.
+    reduced as numerator * denominator^-1, once E's numerator and
+    denominator are each scaled by the power of P that clears P from their
+    coefficient denominators (``_residues``).  A term this scaling sends to
+    0, which would go unchecked, and a class constant with P in its
+    denominator are InputErrors.  Cleared of denominators, the scaled E' - E
+    is a polynomial N in the instance coefficients and the point
+    coordinates.  By the Schwartz-Zippel lemma a nonzero N of total degree d
+    vanishes at a point drawn uniformly from a sample set S with probability
+    at most d/|S|, over Q and modulo P alike; the reduction changes the
+    verdict of exact arithmetic at the same draws only when P divides a
+    nonzero value of N (as for E = P a_v).  A point at which a denominator
+    of E, before or after gauging, vanishes modulo P is resampled, at most
+    _RETRIES (8) times per point; then the ZeroDivisionError propagates.
 
     ``draws``, an ``OracleDraws`` for the same ctx and seed, shares the
     draws between the checks of one call; the verdict is the same as

@@ -419,12 +419,17 @@ def _with_factor(factor):
     return {"stages": [{"templates": [{"factors": [factor]}], "targets": [[0, 0]]}]}
 
 
-def _closed(prefactor="1", first=None, second=None):
-    """STAGE_XY with the closure check on, a prefactor and the two factors replaced."""
+def _xy_stage(prefactor="1", first=None, second=None):
+    """STAGE_XY with a prefactor and the two factors replaced."""
     first = first or {"powers": [[1, 0]], "shift": "p"}
     second = second or {"powers": [[0, 1]], "shift": "q"}
-    return {"check_closure": True, "stages": [
+    return {"stages": [
         {**STAGE_XY, "templates": [{"prefactor": prefactor, "factors": [first, second]}]}]}
+
+
+def _closed(**kwargs):
+    """_xy_stage with the closure check on."""
+    return {"check_closure": True, **_xy_stage(**kwargs)}
 
 
 # case -> (command, file content, extra arguments, a piece of the message);
@@ -480,17 +485,15 @@ BAD_INPUTS = {
     "solver_parameter_in_prefactor": ("templates", {"stages": [
         {**STAGE_XY, "templates": [{**STAGE_XY["templates"][0], "prefactor": "s"}]}]}, [],
         "contains unresolved parameters: s"),
-    "closure_gauge_prefactor": ("templates", _closed(prefactor="g"), [],
-                                "invariant I_{11} contains the gauge symbol"),
+    "gauge_in_prefactor": ("templates", _xy_stage(prefactor="g"), [],
+                           "invariant I_{11} contains the gauge symbol"),
+    "parameter_not_in_its_equation": ("templates",
+                                      _xy_stage(first={"powers": [[2, 0]], "shift": "p"}),
+                                      [], "parameter q does not occur in its equation"),
+    "two_parameters_in_shift": ("templates", _xy_stage(first={"powers": [[1, 0]], "shift": "p + r"}),
+                                [], "stage not uniquely solvable"),
     "closure_prefactor_not_invariant": ("templates", _closed(prefactor="a[0,0]"), [],
                                         "record I_{11} is not gauge invariant: Delta = "),
-    "closure_solver_parameter_prefactor": ("templates", _closed(prefactor="s"), [],
-                                           "invariant I_{11} contains unresolved parameters: s"),
-    "closure_second_order_factor": ("templates", _closed(first={"powers": [[2, 0]], "shift": "p"}),
-                                    [], "parameter q does not occur in its equation"),
-    "closure_two_parameters_in_shift": ("templates",
-                                        _closed(first={"powers": [[1, 0]], "shift": "p + r"}),
-                                        [], "stage not uniquely solvable"),
     "closure_refutes_a_record": ("templates", {"check_closure": True, "stages": [
         {"templates": [*STAGE_XY["templates"],
                        {"factors": [{"powers": [[1, 0]], "shift": "a[0,1] + p"}]}],
@@ -516,10 +519,12 @@ def test_input_errors_exit_2(tmp_path, capsys, case):
     assert message in err
 
 
-def test_closure_check_accepts_a_scaled_parameter(tmp_path, capsys):
-    # (d_x + 2*p)(d_y + q) gives the Laplace invariant; Delta proves it.
+def test_closure_check_accepts_a_scaled_parameter(tmp_path, capsys, monkeypatch):
+    # (d_x + 2*p)(d_y + q) gives the Laplace invariant; Delta proves it in
+    # the engine, so --verify adds only the numeric oracle.
     spec = write_spec(tmp_path, fx.spec_xy())
     tfile = write_templates(tmp_path, _closed(first={"powers": [[1, 0]], "shift": "2*p"}))
+    monkeypatch.setattr(cli, "is_invariant", None)
     code, out, err = run(capsys, ["invariants", spec, "--templates", tfile, "--verify"])
     assert (code, err) == (EXIT_OK, "")
     (record,) = json.loads(out)["invariants"]
@@ -577,10 +582,6 @@ ORACLE_PRIME = 2**61 - 1
     (f"a[1,0]/{ORACLE_PRIME}", EXIT_VERIFY),
     (f"a[1,0]/(2*{ORACLE_PRIME})", EXIT_VERIFY),
     (f"(2*a[2,0];[1,0] - a[1,1];[0,1])/{ORACLE_PRIME}", EXIT_OK),
-    pytest.param(f"(2*a[2,0];[1,0] - a[1,1];[0,1])/{ORACLE_PRIME}^2 + a[2,0]", EXIT_VERIFY,
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "open fault: scaled by the prime squared, a[2,0] is 0 modulo the "
-                     "prime, so the oracle checks only the invariant part and passes"))),
 ])
 def test_oracle_prime_in_a_denominator_of_the_expression(tmp_path, capsys, expr, expected):
     # The numeric verdict agrees with Delta's; the oracle does not fail.
@@ -589,6 +590,20 @@ def test_oracle_prime_in_a_denominator_of_the_expression(tmp_path, capsys, expr,
     assert (code, err) == (expected, "")
     report = json.loads(out)
     assert report["numeric_check"] is report["invariant"] is (expected == EXIT_OK)
+
+
+@pytest.mark.parametrize("expr", [
+    f"(2*a[2,0];[1,0] - a[1,1];[0,1])/{ORACLE_PRIME}^2 + a[2,0]",
+    f"(2*a[2,0];[1,0] - a[1,1];[0,1])/(a[1,0] + 1/{ORACLE_PRIME})",
+], ids=["numerator", "denominator"])
+def test_oracle_refuses_mixed_powers_of_its_prime(tmp_path, capsys, expr):
+    # Scaled by the larger power of the prime, the other terms would be 0
+    # modulo it and go unchecked; Delta alone refutes both expressions.
+    path = write_spec(tmp_path, fx.spec_xxy())
+    code, out, err = run(capsys, ["verify", path, "--expr", expr])
+    assert (code, out) == (EXIT_HYPOTHESIS, "")
+    assert err == ("error: E's coefficient denominators hold the oracle's "
+                   "prime 2^61 - 1 unevenly\n")
 
 
 @pytest.mark.parametrize("argv", [["invariants", "--verify"], ["verify", "--expr", "a[1,0]"]],

@@ -421,7 +421,7 @@ def _xy_family(*extra):
 
 
 # family -> (templates, targets, the record Delta refutes, its expression):
-# check_gauge_closure let both through, and each emits a non-invariant record.
+# the structural closure check that Delta replaced let the first two through.
 NOT_CLOSED = {
     "coefficient_in_shift": (_xy_family(Factor.single((1, 0), P("a[0,1]") + par("p"))),
                              [(1, 0), (0, 1)], "I_{00}",
@@ -429,6 +429,10 @@ NOT_CLOSED = {
     "target_below_a_non_target": (_xy_family(Factor.single((1, 0), par("p"))),
                                   [(1, 0), (0, 0)], "I_{01}",
                                   "(a[0,1]*a[1,0] - a[0,0] + a[1,0];[1,0])/(a[1,0])"),
+    # one parameter shared by the directions x and y
+    "shared_parameter_across_directions": (
+        [FactorTemplate(2, (Factor.single((1, 0), par("p")), Factor.single((0, 1), par("p"))))],
+        [(1, 0)], "I_{01}", "a[0,1] - a[1,0]"),
 }
 
 
@@ -454,6 +458,18 @@ def test_closure_check_accepts_a_family_whose_record_is_invariant(shift):
         analyze(fx.spec_xy()), [[t]], [[(1, 0), (0, 1)]], check_closure=True
     )
     assert print_expr(record.expression) == "-a[0,1]*a[1,0] + a[0,0] - a[1,0];[1,0]"
+
+
+def test_closure_check_accepts_a_parameter_reused_in_one_direction():
+    # (d_x + p)(d_x + p)(d_y + q) on d_xxy: p twice in x, no parameter shared across directions.
+    t = FactorTemplate(2, (Factor.single((1, 0), par("p")),) * 2 + (Factor.single((0, 1), par("q")),))
+    records = upward_invariants_from_template(
+        analyze(fx.spec_xxy()), [[t]], [[(2, 0), (1, 1)]], check_closure=True
+    )
+    assert {r.label: print_expr(r.expression) for r in records} == {
+        "I_{01}": "-1/4*a[1,1]^2 + a[0,1] - 1/2*a[1,1];[1,0]",
+        "I_{10}": "-a[1,1]*a[2,0] + a[1,0] - 2*a[2,0];[1,0]",
+    }
 
 
 # ---------------------------------------------------------------------------
