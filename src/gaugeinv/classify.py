@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import multiindex as mi
-from .grammar import InputError, parse_expr, print_expr
+from .grammar import InputError, expr_field, parse_expr, print_expr
 from .jetalg import JetExpr, KIND_COEFF, KIND_GAUGE, KIND_PARAM, _Frozen, coeff_symbol
 from .multiindex import MultiIndex
 from .opalg import DiffOperator
@@ -104,7 +104,7 @@ class ClassSpec(_Frozen):
             dim = data["dimension"]
             if type(dim) is not int:
                 raise TypeError(f"dimension must be an integer, got {dim!r}")
-            raw = [(tuple(t["vector"]), str(t["coefficient"]))
+            raw = [(tuple(t["vector"]), expr_field(t["coefficient"]))
                    for t in data["maximal_terms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ClassSpecError(f"malformed class spec: {exc}") from exc

@@ -21,8 +21,7 @@ under ``| head -1``; that prints nothing.
 
 Template files are JSON of the form::
 
-    {"check_closure": false,
-     "stages": [
+    {"stages": [
        {"templates": [
           {"prefactor": "a[1,1]",
            "factors": [{"powers": [[1, 0]], "shift": "p"},
@@ -31,8 +30,9 @@ Template files are JSON of the form::
 
 Stages are cumulative: each adds its templates and targets, and the whole
 parameter set is re-solved; ``prefactor`` defaults to "1", and shifts and
-prefactors use the expression grammar.  ``check_closure`` true proves each
-record by Delta (exit 2 if one fails); ``--verify`` then adds the oracle.
+prefactors use the expression grammar.  Every record is proved by Delta
+(exit 2 if one fails, as when the family is not closed under gauge);
+``--verify`` then adds only the numeric oracle.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from typing import Callable
 
 from . import multiindex as mi
 from .classify import ClassAnalysis, ClassSpec, analyze
-from .grammar import ExprParseError, InputError, parse_expr, print_expr, write_poly
+from .grammar import ExprParseError, InputError, expr_field, parse_expr, print_expr, write_poly
 from .invariants import complete_set, upward_invariants_from_template
 from .jetalg import JetExpr, JetVariable, KIND_COEFF, Poly, gauge_symbol
 from .opalg import DiffOperator, Factor, FactorTemplate, OperatorSpecError, gauge
@@ -128,10 +128,10 @@ def latex_operator(L: DiffOperator) -> str:
 
 
 def load_templates(path: str, analysis: ClassAnalysis):
-    """Parse a template file into (stages, stage_targets, check_closure).
+    """Parse a template file into (stages, stage_targets).
 
-    Every target must be a vector of the class lattice, every integer and
-    boolean must be a JSON one, and no other top-level key is allowed.
+    Every target must be a vector of the class lattice, every integer must
+    be a JSON one, and no top-level key other than ``stages`` is allowed.
     """
     dim = analysis.dimension
     with open(path) as fh:
@@ -139,19 +139,19 @@ def load_templates(path: str, analysis: ClassAnalysis):
     stages = []
     targets = []
     try:
-        unknown = sorted(set(data) - {"stages", "check_closure"})
+        unknown = sorted(set(data) - {"stages"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
         for stage in data["stages"]:
             templates = []
             for t in stage["templates"]:
-                prefactor = parse_expr(str(t.get("prefactor", "1")), dim)
+                prefactor = parse_expr(expr_field(t.get("prefactor", "1")), dim)
                 factors = []
                 for f in t["factors"]:
                     powers = tuple(tuple(w) for w in f["powers"])
                     for w in powers:
                         mi.check_index(w, dim)
-                    shift = parse_expr(str(f.get("shift", "0")), dim)
+                    shift = parse_expr(expr_field(f.get("shift", "0")), dim)
                     factors.append(Factor(powers, shift))
                 templates.append(FactorTemplate(dim, tuple(factors), prefactor))
             stages.append(templates)
@@ -160,14 +160,11 @@ def load_templates(path: str, analysis: ClassAnalysis):
                 mi.check_index(v, dim)
                 if v not in analysis.all_vectors:
                     raise OperatorSpecError(f"target {v} is not in the class lattice")
-        closure = data.get("check_closure", False)
-        if type(closure) is not bool:
-            raise TypeError(f"check_closure must be true or false, got {closure!r}")
     except ExprParseError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise OperatorSpecError(f"malformed template file: {exc}") from exc
-    return stages, targets, closure
+    return stages, targets
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +210,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_invariants(args) -> int:
     spec = ClassSpec.load(args.spec)
-    proved = False  # by Delta, in the staged engine
-    if args.templates:
+    if args.templates:  # the engine proves every staged record by Delta
         an = analyze(spec)
-        stages, targets, proved = load_templates(args.templates, an)
-        records = upward_invariants_from_template(an, stages, targets, proved)
+        stages, targets = load_templates(args.templates, an)
+        records = upward_invariants_from_template(an, stages, targets, check_closure=True)
         audit = {"upward": len(records)}
     else:
         records, audit = complete_set(spec)
@@ -227,7 +223,7 @@ def cmd_invariants(args) -> int:
         ctx = DeltaContext.for_class(spec)
         draws = OracleDraws(ctx, args.seed)
         for r in records:
-            ok, residual = (True, None) if proved else is_invariant(r.expression, ctx)
+            ok, residual = (True, None) if args.templates else is_invariant(r.expression, ctx)
             checked = numeric_spot_check(r.expression, ctx, args.seed, draws)
             if not (ok and checked):
                 residual = print_expr(residual) if not ok else "?"

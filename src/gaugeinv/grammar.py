@@ -150,6 +150,13 @@ class _Parser:
         return e
 
 
+def expr_field(value) -> str:
+    """The text of an expression field of a JSON input: a string or an integer."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    raise TypeError(f"an expression must be a string or an integer, got {value!r}")
+
+
 def parse_expr(text: str, dim: int | None = None) -> JetExpr:
     """Parse an expression string; dim may be inferred from any vector."""
     p = _Parser(_tokenize(text), dim)

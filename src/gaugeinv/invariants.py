@@ -70,8 +70,8 @@ class SolveError(InputError):
 
 
 class TemplateNotClosedError(InputError):
-    """A staged record proved with check_closure has a nonzero Delta: the
-    template family is not closed under gauge transformations for it."""
+    """A staged record proved with check_closure (which the CLI always sets) has
+    a nonzero Delta: the template family is not closed under gauge for it."""
 
 
 def _vec_tag(v: MultiIndex) -> str:
@@ -541,7 +541,8 @@ def upward_invariants_from_template(
 
     With check_closure, every record is proved by Delta after the last
     stage (``verify.is_invariant``); the first whose Delta does not vanish
-    raises TemplateNotClosedError with its residual.  Without it, nothing is.
+    raises TemplateNotClosedError with its residual.  Without it, nothing
+    is; ``gaugeinv invariants --templates`` always sets it.
     """
     if len(stages) != len(stage_targets):
         raise ValueError("stages and stage_targets must have equal length")

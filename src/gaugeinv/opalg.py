@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from . import multiindex as mi
-from .grammar import InputError, parse_expr, print_expr
+from .grammar import InputError, expr_field, parse_expr, print_expr
 from .jetalg import (
     BaseSymbol,
     JetExpr,
@@ -113,7 +113,7 @@ class DiffOperator(_Frozen):
             raise OperatorSpecError("empty operator serialization")
         try:
             dim = len(data[0]["vector"])
-            entries = [(tuple(e["vector"]), str(e["coeff"])) for e in data]
+            entries = [(tuple(e["vector"]), expr_field(e["coeff"])) for e in data]
             for v, _ in entries:
                 mi.check_index(v, dim)
         except (KeyError, TypeError, ValueError) as exc:
@@ -235,13 +235,8 @@ class FactorTemplate(NamedTuple):
 
 
 def expand_template(t: FactorTemplate) -> DiffOperator:
-    """Full noncommutative expansion of the ordered product.
-
-    A template with no factors expands to the zero operator (an "empty"
-    template contributes nothing to a sum of templates).
-    """
-    if not t.factors:
-        return DiffOperator.zero(t.dim)
+    """Full noncommutative expansion of the ordered product; the empty
+    product is the identity, so a template with no factors is its prefactor."""
     out = DiffOperator.identity(t.dim)
     for f in t.factors:
         out = op_mul(out, f.as_operator(t.dim))

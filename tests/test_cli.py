@@ -138,7 +138,6 @@ def test_coefficient_symbol_of_its_own_vector_verifies(tmp_path, capsys):
 
 
 XXY_TEMPLATES = {
-    "check_closure": True,
     "stages": [
         {
             "templates": [{
@@ -330,7 +329,7 @@ def test_parse_errors_exit_1(tmp_path, capsys, command, text, message):
         argv = ["verify", write_spec(tmp_path, fx.spec_xxy()), "--expr", text]
     else:
         path = tmp_path / "templates.json"
-        path.write_text(json.dumps(_closed(first={"powers": [[1, 0]], "shift": text})))
+        path.write_text(json.dumps(_xy_stage(first={"powers": [[1, 0]], "shift": text})))
         argv = ["invariants", write_spec(tmp_path, fx.spec_xy()), "--templates", str(path)]
     code, out, err = run(capsys, argv)
     assert (code, out) == (EXIT_PARSE, "")
@@ -427,11 +426,6 @@ def _xy_stage(prefactor="1", first=None, second=None):
         {**STAGE_XY, "templates": [{"prefactor": prefactor, "factors": [first, second]}]}]}
 
 
-def _closed(**kwargs):
-    """_xy_stage with the closure check on."""
-    return {"check_closure": True, **_xy_stage(**kwargs)}
-
-
 # case -> (command, file content, extra arguments, a piece of the message);
 # "templates" runs invariants on the d_xy class with the content as its
 # template file.  Each is an input error that a typed library error reports.
@@ -468,8 +462,8 @@ BAD_INPUTS = {
         {**STAGE_XY, "templates": [{"factors": [{"powers": [[1.7, 0]], "shift": "p"},
                                                 {"powers": [[0, 1]], "shift": "q"}]}]}]}, [],
         "malformed template file: multi-index entries must be nonnegative ints"),
-    "check_closure_not_bool": ("templates", {"check_closure": "no", "stages": [STAGE_XY]}, [],
-                               "malformed template file: check_closure must be true or false"),
+    "check_closure_key": ("templates", {"check_closure": True, "stages": [STAGE_XY]}, [],
+                          "malformed template file: unknown keys ['check_closure']"),
     "unknown_template_key": ("templates", {"stages": [STAGE_XY], "stage": [STAGE_XY]}, [],
                              "malformed template file: unknown keys ['stage']"),
     "vector_bool": ("analyze", {"dimension": 2, "maximal_terms": [
@@ -492,13 +486,33 @@ BAD_INPUTS = {
                                       [], "parameter q does not occur in its equation"),
     "two_parameters_in_shift": ("templates", _xy_stage(first={"powers": [[1, 0]], "shift": "p + r"}),
                                 [], "stage not uniquely solvable"),
-    "closure_prefactor_not_invariant": ("templates", _closed(prefactor="a[0,0]"), [],
+    "closure_prefactor_not_invariant": ("templates", _xy_stage(prefactor="a[0,0]"), [],
                                         "record I_{11} is not gauge invariant: Delta = "),
-    "closure_refutes_a_record": ("templates", {"check_closure": True, "stages": [
+    "closure_refutes_a_record": ("templates", {"stages": [
         {"templates": [*STAGE_XY["templates"],
                        {"factors": [{"powers": [[1, 0]], "shift": "a[0,1] + p"}]}],
          "targets": STAGE_XY["targets"]}]}, [],
         "record I_{00} is not gauge invariant: Delta = -g;[1,0]"),
+    "not_closed": ("templates", {"stages": [{"templates": [{"factors": [
+        {"powers": [[1, 0]], "shift": "p"}, {"powers": [[0, 1]], "shift": "p"}]}],
+        "targets": [[1, 0]]}]}, [],
+        "record I_{01} is not gauge invariant: Delta = -g;[0,1] + g;[1,0]"),
+    "template_without_factors": ("templates", {"stages": [
+        {**STAGE_XY, "templates": [*STAGE_XY["templates"],
+                                   {"prefactor": "a[0,0]", "factors": []}]}]}, [],
+        "record I_{00} is not gauge invariant"),
+    "coefficient_null": ("analyze", {"dimension": 2, "maximal_terms": [
+        {"vector": [1, 1], "coefficient": None}]}, [],
+        "malformed class spec: an expression must be a string or an integer, got None"),
+    "coefficient_bool": ("verify", {"dimension": 2, "maximal_terms": [
+        {"vector": [1, 1], "coefficient": True}]}, ["--expr", "a[0,0]"],
+        "malformed class spec: an expression must be a string or an integer, got True"),
+    "shift_null": ("templates", _xy_stage(first={"powers": [[1, 0]], "shift": None}), [],
+                   "malformed template file: an expression must be a string or an integer"),
+    "prefactor_bool": ("templates", _xy_stage(prefactor=False), [],
+                       "malformed template file: an expression must be a string or an integer"),
+    "coeff_fractional": ("gauge", [{"vector": [1, 1], "coeff": 1.5}], [],
+                         "malformed operator: an expression must be a string or an integer"),
 }
 
 
@@ -523,7 +537,7 @@ def test_closure_check_accepts_a_scaled_parameter(tmp_path, capsys, monkeypatch)
     # (d_x + 2*p)(d_y + q) gives the Laplace invariant; Delta proves it in
     # the engine, so --verify adds only the numeric oracle.
     spec = write_spec(tmp_path, fx.spec_xy())
-    tfile = write_templates(tmp_path, _closed(first={"powers": [[1, 0]], "shift": "2*p"}))
+    tfile = write_templates(tmp_path, _xy_stage(first={"powers": [[1, 0]], "shift": "2*p"}))
     monkeypatch.setattr(cli, "is_invariant", None)
     code, out, err = run(capsys, ["invariants", spec, "--templates", tfile, "--verify"])
     assert (code, err) == (EXIT_OK, "")

@@ -25,13 +25,13 @@ SPEC = {"dimension": 2, "maximal_terms": [{"vector": [2, 1], "coefficient": "p"}
 OPERATOR = [{"vector": [1, 1], "coeff": "1"}, {"vector": [1, 0], "coeff": "a[0,1]"},
             {"vector": [0, 0], "coeff": "a[0,0]*b"}]
 XY_SPEC = {"dimension": 2, "maximal_terms": [{"vector": [1, 1], "coefficient": "1"}]}
-TEMPLATES = {"check_closure": False, "stages": [
+TEMPLATES = {"stages": [
     {"templates": [{"prefactor": "1", "factors": [{"powers": [[1, 0]], "shift": "p"},
                                                    {"powers": [[0, 1]], "shift": "q"}]}],
      "targets": [[1, 0], [0, 1]]}]}
 
 KEYS = ["dimension", "maximal_terms", "vector", "coefficient", "coeff", "stages",
-        "templates", "targets", "factors", "powers", "shift", "prefactor", "check_closure"]
+        "templates", "targets", "factors", "powers", "shift", "prefactor"]
 LEAVES = (st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from([0.5, 2.0, 1e300])
           | st.sampled_from(["", "1", "p", "g", "a[1,0]", "q;[1,0]", "1/0", "p^", "[1, 0]"]))
 VALUES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=3)

@@ -92,8 +92,12 @@ def test_expansion_of_cubed_squared_template():
     assert L.coefficient((3, 1)) == r.scale(2)
 
 
-def test_empty_template_expands_to_zero():
-    assert expand_template(FactorTemplate(2, ())) == DiffOperator.zero(2)
+def test_empty_template_expands_to_its_prefactor():
+    # the empty product is the identity, as text() prints it
+    a = P("a[0,0]")
+    assert expand_template(FactorTemplate(2, ())) == DiffOperator.identity(2)
+    assert expand_template(FactorTemplate(2, (), a)) == DiffOperator(2, {(0, 0): a})
+    assert FactorTemplate(2, (), a).text() == "(a[0,0])"
 
 
 def test_template_text_of_staged_dxx_templates():
