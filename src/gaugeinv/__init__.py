@@ -35,7 +35,6 @@ from .jetalg import (
     equal,
     gauge_symbol,
     param_symbol,
-    proportional,
     substitute,
 )
 from .opalg import DiffOperator, Factor, FactorTemplate, expand_sum, expand_template, gauge, op_mul

@@ -193,11 +193,11 @@ def _dedupe(exprs: Iterable[JetExpr]) -> tuple[JetExpr, ...]:
     return tuple(out)
 
 
-def _matching_witness(analysis_sub, maximal, n) -> tuple[MultiIndex, ...] | None:
-    """Distinct s_1..s_n in S with s_i + e_i maximal, via augmenting paths."""
+def _matching_witness(rows, n) -> tuple[MultiIndex, ...] | None:
+    """Distinct s_1..s_n in S with s_i + e_i maximal, via augmenting paths;
+    s + e_i is maximal iff entry i of phi(s) is nonzero."""
     candidates = {
-        i: [s for s in mi.sort_canonical(analysis_sub)
-            if mi.add(s, tuple(1 if k == i else 0 for k in range(n))) in maximal]
+        i: [s for s in mi.sort_canonical(rows) if not rows[s][i].is_zero()]
         for i in range(n)
     }
     match: dict[MultiIndex, int] = {}
@@ -274,21 +274,18 @@ def analyze(spec: ClassSpec) -> ClassAnalysis:
     n = spec.dimension
     maximal = spec.maximal_set
     all_vectors = frozenset(mi.down_set(maximal))
+    # a non-maximal vector of a down set has a cover in it
     submaximal = frozenset(
         v for v in all_vectors - maximal
-        if all(u in maximal
-               for u in all_vectors if mi.covers(u, v))
-        and any(mi.covers(u, v) for u in all_vectors)
+        if all(u in maximal for u in mi.ups(v) if u in all_vectors)
     )
     interior = all_vectors - maximal - submaximal
 
-    witness = _matching_witness(submaximal, maximal, n)
-
     rows = {}  # phi(s), kept on the analysis for phi() and solve_framing
     for s in submaximal:
-        ups = [mi.add(s, mi.unit(n, i)) for i in range(1, n + 1)]
         rows[s] = tuple(spec.coefficient(u).scale(Fraction(k + 1)) if u in maximal
-                        else JetExpr.const(0) for k, u in zip(s, ups))
+                        else JetExpr.const(0) for k, u in zip(s, mi.ups(s)))
+    witness = _matching_witness(rows, n)
 
     # Greedy framing-set selection: scan S in the preference order, keep a
     # vector iff its phi-row strictly increases the symbolic rank.

@@ -2,15 +2,18 @@
 
 Commands
 --------
-analyze <spec.json>
+analyze <spec.json> [--format F]
     Print the term-lattice classification and hypothesis flags.
 invariants <spec.json> [--templates <file>] [--verify] [--seed K] [--format F]
     Construct the complete set of invariants (or run the staged template
     engine) and print the records with the completeness audit.
-gauge <operator.json> --g <expr>
+gauge <operator.json> [--g <expr>] [--format F]
     Print the gauged operator e^{-g} L e^{g}.
-verify <spec.json> --expr <expr> [--seed K]
+verify <spec.json> --expr <expr> [--seed K] [--format F]
     Print the verification report for one expression over the class.
+
+F is json (the default), latex or text; ``analyze --format latex`` prints
+the JSON payload on one line.
 
 Exit codes: 0 success, 1 parse error, 2 any other invalid input (an
 InputError: a hypothesis failure, a malformed spec, operator or template,

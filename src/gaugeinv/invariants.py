@@ -270,10 +270,10 @@ def compatibility_invariants(sol: GradientSolution) -> list[InvariantRecord]:
 def _least_cover(
     vectors: Iterable[MultiIndex], above: frozenset[MultiIndex]
 ) -> dict[MultiIndex, MultiIndex]:
-    """Each vector to the lexicographically smallest vector of ``above``
-    that covers it: the map f : S' -> M on the residual submaximal vectors,
+    """Each vector v to the lexicographically smallest cover v + e_i in
+    ``above``: the map f : S' -> M on the residual submaximal vectors,
     and f : V -> lattice on the interior ones with the non-maximal above."""
-    return {v: min(u for u in above if mi.covers(u, v)) for v in vectors}
+    return {v: min(u for u in mi.ups(v) if u in above) for v in vectors}
 
 
 def _c_param(i: int) -> BaseSymbol:
@@ -432,10 +432,7 @@ class _GenericParts:
         """B_w = (d_{x_j} + q_w) prod_i (d_{x_i} + c_i)^{w(i)} and its expansion."""
         if w not in self.b_parts:
             n = self.analysis.dimension
-            j = next(
-                i for i in range(1, n + 1)
-                if mi.add(w, mi.unit(n, i)) == self.fint[w]
-            )
+            j = mi.ups(w).index(self.fint[w]) + 1
             qw = Factor.single(mi.unit(n, j), JetExpr.symbol(_q_param(w), dim=n))
             t = FactorTemplate(n, (qw, *_c_factors(n, w)))
             self.b_parts[w] = (t, expand_template(t))

@@ -432,19 +432,6 @@ def equal(a: JetExpr, b: JetExpr) -> bool:
     return (a.num * b.den - b.num * a.den).is_zero()
 
 
-def proportional(a: JetExpr, b: JetExpr) -> bool:
-    """True iff a = c*b for some nonzero rational c (or both are zero)."""
-    p = a.num * b.den
-    q = b.num * a.den
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    mp, cp = p.leading()
-    mq, cq = q.leading()
-    if mp != mq:
-        return False
-    return (p - q.scale(Fraction(cp) / cq)).is_zero()
-
-
 def substitute(e: JetExpr, bindings: Mapping[BaseSymbol, JetExpr]) -> JetExpr:
     """Simultaneous one-pass substitution of base symbols by expressions.
 

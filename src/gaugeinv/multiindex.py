@@ -64,12 +64,9 @@ def below(u: MultiIndex, v: MultiIndex) -> bool:
     return leq(u, v) and u != v
 
 
-def covers(v: MultiIndex, u: MultiIndex) -> bool:
-    """True iff v = u + e_i for exactly one i."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"{u!r} vs {v!r}")
-    diff = [a - b for a, b in zip(v, u)]
-    return all(d >= 0 for d in diff) and sum(diff) == 1
+def ups(v: MultiIndex) -> list[MultiIndex]:
+    """The covers v + e_1, ..., v + e_n of v, in that order."""
+    return [v[:i] + (v[i] + 1,) + v[i + 1:] for i in range(len(v))]
 
 
 def down_set(vs: Iterable[MultiIndex]) -> set[MultiIndex]:

@@ -1,7 +1,11 @@
-"""Shared fixture classes, the paper's worked examples built on them, and the
-structural check of an upward record."""
+"""Shared fixture classes, the paper's worked examples built on them, the
+structural check of an upward record, and the antichains of the corpus.
+
+It imports no test framework, so ``tools/identity.py`` can read it on any
+Python."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from gaugeinv import multiindex as mi
@@ -172,3 +176,26 @@ def is_upward_form(record: InvariantRecord, analysis: ClassAnalysis) -> bool:
         for s in E.base_symbols()
         if s.kind == KIND_COEFF
     )
+
+
+# (dimension, highest order) of each part of the corpus of tests/test_corpus.py
+PARTS = ((1, 4), (2, 4), (3, 2))
+
+
+def antichains(n: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every antichain of nonzero vectors of order <= k in dimension n."""
+    vectors = sorted(
+        v for v in itertools.product(range(k + 1), repeat=n) if 0 < sum(v) <= k
+    )
+    out = []
+
+    def grow(start, chosen):
+        if chosen:
+            out.append(tuple(chosen))
+        for i in range(start, len(vectors)):
+            v = vectors[i]
+            if not any(mi.leq(v, c) or mi.leq(c, v) for c in chosen):
+                grow(i + 1, chosen + [v])
+
+    grow(0, [])
+    return out

@@ -16,13 +16,11 @@ classes, held to the same checks and pinned the same way.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from gaugeinv import multiindex as mi
 from gaugeinv.classify import ClassSpec, analyze, phi
 from gaugeinv.invariants import HypothesisError, complete_set, solve_gradient
 from gaugeinv.jetalg import ONE, ZERO, JetExpr, coeff_symbol, equal, param_symbol
@@ -30,10 +28,7 @@ from gaugeinv.verify import (
     DEFAULT_SEED, DeltaContext, OracleDraws, is_invariant, numeric_spot_check,
 )
 
-from _fixtures import is_upward_form
-
-# (dimension, highest order) of each part of the corpus
-PARTS = ((1, 4), (2, 4), (3, 2))
+from _fixtures import PARTS, antichains, is_upward_form
 
 CENSUS = {"constructed": 147, "NotApproximatelyFlatError": 78, "NotFramedError": 3}
 
@@ -42,25 +37,6 @@ FINGERPRINT = "fa76e0f776cf5a6f2d191970a9583da83730db135f64ea93eaab4ea63a5c58e2"
 
 SYMBOLIC_CENSUS = {"constructed": 112, "NotApproximatelyFlatError": 75}
 SYMBOLIC_FINGERPRINT = "4a7b83c2bca0bd512e3182485375e65e67f32dbf52a025c1c822c7280ab19041"
-
-
-def antichains(n: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every antichain of nonzero vectors of order <= k in dimension n."""
-    vectors = sorted(
-        v for v in itertools.product(range(k + 1), repeat=n) if 0 < sum(v) <= k
-    )
-    out = []
-
-    def grow(start, chosen):
-        if chosen:
-            out.append(tuple(chosen))
-        for i in range(start, len(vectors)):
-            v = vectors[i]
-            if not any(mi.leq(v, c) or mi.leq(c, v) for c in chosen):
-                grow(i + 1, chosen + [v])
-
-    grow(0, [])
-    return out
 
 
 def corpus() -> list[ClassSpec]:

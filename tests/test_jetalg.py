@@ -20,7 +20,6 @@ from gaugeinv.jetalg import (
     linear_parts,
     map_jets,
     param_symbol,
-    proportional,
     substitute,
     symbol_key,
 )
@@ -117,15 +116,6 @@ def test_equal_cross_multiplies():
     assert not equal(x / y, y / x)
 
 
-def test_proportional():
-    x, y = a(1, 0), a(0, 1)
-    e = x + y.scale(2)
-    assert proportional(e, e.scale(Fraction(-3, 7)))
-    assert not proportional(e, x + y)
-    # functional (non-constant) ratios are not proportional
-    assert not proportional(x, x * y)
-
-
 def test_substitute_is_simultaneous_one_pass():
     x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
     ex, ey = a(1, 0), a(0, 1)
@@ -179,14 +169,6 @@ def test_const_value_is_fraction():
     assert type(third.const_value()) is Fraction
     assert type(JetExpr.const(6).const_value()) is Fraction
     assert type(ZERO.const_value()) is Fraction
-
-
-def test_proportional_with_int_leading_coefficients():
-    x = a(1, 0)
-    assert type(x.scale(3).num.leading()[1]) is int
-    assert proportional(x.scale(3), x)
-    assert proportional(x, x.scale(3))
-    assert not proportional(x, x.scale(3) + ONE)
 
 
 def test_linear_parts_splits_the_numerator():

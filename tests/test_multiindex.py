@@ -30,11 +30,12 @@ def test_partial_order():
         mi.leq((1, 0), (1, 0, 0))
 
 
-def test_covers():
-    assert mi.covers((2, 1), (1, 1))
-    assert mi.covers((2, 1), (2, 0))
-    assert not mi.covers((2, 2), (1, 1))
-    assert not mi.covers((1, 1), (2, 1))
+def test_ups_are_the_covers_in_direction_order():
+    assert mi.ups((2, 1)) == [(3, 1), (2, 2)]
+    assert mi.ups((0,)) == [(1,)]
+    assert mi.ups(()) == []
+    for v in mi.down_set([(2, 1, 1)]):
+        assert mi.ups(v) == [mi.add(v, mi.unit(3, i)) for i in (1, 2, 3)]
 
 
 def test_down_set_is_union_of_boxes():

@@ -3,8 +3,11 @@
     python3 tools/identity.py > identity.txt
 
 Run from the repository root of any checkout: gaugeinv is imported from
-./src and the class generators from ./tests, so the same script can be run
-on two trees and the outputs compared line by line (``diff``).  Each line
+./src and the class generators from ./tests/_fixtures.py, so the same
+script can be run on two trees and the outputs compared line by line
+(``diff``).  It needs only the standard library, so it also runs on each
+supported Python (3.10 and later) with no package installed, e.g.
+``python3.10 tools/identity.py``; the output is the same on each.  Each line
 is ``<sha256>  <case>``; the last is ``<sha256>  aggregate``, the sha256 of
 all the lines before it.  A class case's sha256 covers the canonical JSON
 of ``complete_set`` (records and audit) and of ``build_Cm`` (templates,
@@ -39,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import _fixtures as fx  # noqa: E402
+from _fixtures import PARTS, antichains  # noqa: E402
 from gaugeinv.classify import ClassSpec, analyze  # noqa: E402
 from gaugeinv.grammar import print_expr  # noqa: E402
 from gaugeinv.invariants import (  # noqa: E402
@@ -47,7 +51,6 @@ from gaugeinv.invariants import (  # noqa: E402
 )
 from gaugeinv.jetalg import ONE, JetExpr, param_symbol  # noqa: E402
 from gaugeinv.opalg import Factor, FactorTemplate  # noqa: E402
-from test_corpus import PARTS, antichains  # noqa: E402
 
 
 def outcome(compute):
