@@ -116,6 +116,28 @@ def test_equal_cross_multiplies():
     assert not equal(x / y, y / x)
 
 
+def test_equality_tells_scalar_multiples_apart():
+    # The compatibility tests compare each record with the paper's form
+    # times its factor, so == must see the factor, not only the ray.
+    x, y = a(1, 0), a(0, 1)
+    e = x + y.scale(2)
+    assert e.scale(Fraction(-3, 7)) == (x.scale(-3) + y.scale(-6)) / JetExpr.const(7)
+    assert e.scale(Fraction(-3, 7)) != e
+    assert -e != e
+    assert e.scale(3) / JetExpr.const(3) == e
+    # a functional factor is not a scalar one
+    assert x * y != x
+
+
+def test_scale_by_int_keeps_int_leading_coefficients():
+    x = a(1, 0)
+    m, c = x.scale(3).num.leading()
+    assert type(c) is int and c == 3
+    assert m == x.num.leading()[0]
+    assert x.scale(3) == x.scale(Fraction(6, 2))
+    assert x.scale(3) != x.scale(3) + ONE
+
+
 def test_substitute_is_simultaneous_one_pass():
     x, y = coeff_symbol((1, 0)), coeff_symbol((0, 1))
     ex, ey = a(1, 0), a(0, 1)
